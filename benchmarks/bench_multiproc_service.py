@@ -327,54 +327,51 @@ def test_e18_multiproc_service(report):
     )
 
     rows = []
-    try:
-        # Phase 1: fresh single-process baseline (E17 configuration),
-        # warmed over the pool first — both phases measure steady state.
-        lat1, elapsed1, mm1, cold1_s = _phase_single(
-            inst, pool, schedule, expected
-        )
-        single_qps = len(lat1) / elapsed1
-        ms1 = [s * 1000.0 for s in lat1]
-        rows.append(
-            {
-                "phase": "single-process",
-                "workers": 1,
-                "requests": len(lat1),
-                "qps": round(single_qps, 1),
-                "p50_ms": round(percentile(ms1, 50.0), 3),
-                "p99_ms": round(percentile(ms1, 99.0), 3),
-                "warmup_s": round(cold1_s, 2),
-                "mismatches": mm1,
-            }
-        )
+    # Phase 1: fresh single-process baseline (E17 configuration),
+    # warmed over the pool first — both phases measure steady state.
+    lat1, elapsed1, mm1, cold1_s = _phase_single(
+        inst, pool, schedule, expected
+    )
+    single_qps = len(lat1) / elapsed1
+    ms1 = [s * 1000.0 for s in lat1]
+    rows.append(
+        {
+            "phase": "single-process",
+            "workers": 1,
+            "requests": len(lat1),
+            "qps": round(single_qps, 1),
+            "p50_ms": round(percentile(ms1, 50.0), 3),
+            "p99_ms": round(percentile(ms1, 99.0), 3),
+            "warmup_s": round(cold1_s, 2),
+            "mismatches": mm1,
+        }
+    )
 
-        # Phase 2: the 4-worker SO_REUSEPORT group, same load.
-        lat4, elapsed4, mm4, fast_path, pids, cold4_s = _phase_group(
-            store, pool, schedule, expected
-        )
-        group_qps = len(lat4) / elapsed4
-        ms4 = [s * 1000.0 for s in lat4]
-        rows.append(
-            {
-                "phase": "process-group",
-                "workers": WORKERS,
-                "requests": len(lat4),
-                "qps": round(group_qps, 1),
-                "p50_ms": round(percentile(ms4, 50.0), 3),
-                "p99_ms": round(percentile(ms4, 99.0), 3),
-                "warmup_s": round(cold4_s, 2),
-                "fast_path_hits": fast_path,
-                "workers_observed": pids,
-                "mismatches": mm4,
-            }
-        )
+    # Phase 2: the 4-worker SO_REUSEPORT group, same load.
+    lat4, elapsed4, mm4, fast_path, pids, cold4_s = _phase_group(
+        store, pool, schedule, expected
+    )
+    group_qps = len(lat4) / elapsed4
+    ms4 = [s * 1000.0 for s in lat4]
+    rows.append(
+        {
+            "phase": "process-group",
+            "workers": WORKERS,
+            "requests": len(lat4),
+            "qps": round(group_qps, 1),
+            "p50_ms": round(percentile(ms4, 50.0), 3),
+            "p99_ms": round(percentile(ms4, 99.0), 3),
+            "warmup_s": round(cold4_s, 2),
+            "fast_path_hits": fast_path,
+            "workers_observed": pids,
+            "mismatches": mm4,
+        }
+    )
 
-        # Phase 3: live churn.
-        rebind_rows, error_rate, post_mismatches, outcomes = _phase_churn(
-            inst, store, pool, rows
-        )
-    finally:
-        store.close()
+    # Phase 3: live churn.
+    rebind_rows, error_rate, post_mismatches, outcomes = _phase_churn(
+        inst, store, pool, rows
+    )
 
     ratio_committed = group_qps / E17_BASELINE_QPS
     ratio_fresh = group_qps / single_qps

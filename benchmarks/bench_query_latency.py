@@ -126,8 +126,7 @@ def _run_cold_warm():
         "warm_speedup": cold_s / warm_s if warm_s > 0 else float("inf"),
         "rewarm_speedup": cold_s / rewarm_s if rewarm_s > 0 else float("inf"),
         "path_mismatches": mismatches,
-        "route_result_hit_rate": stats.get("route_result_hit_rate", 0.0),
-        "bay_legs_hits": stats.get("bay_legs_hits", 0),
+        "locate_hit_rate": stats.get("locate_hit_rate", 0.0),
         "dijkstra_hits": stats.get("dijkstra_hits", 0),
     }
 
@@ -145,7 +144,7 @@ def test_e14_cold_vs_warm_workload(benchmark, report):
                 "rewarm_s": round(res["rewarm_s"], 4),
                 "warm_x": round(res["warm_speedup"], 1),
                 "rewarm_x": round(res["rewarm_speedup"], 1),
-                "hit_rate": round(res["route_result_hit_rate"], 3),
+                "locate_hit_rate": round(res["locate_hit_rate"], 3),
             }
         ],
         title="E14b: query-engine amortization — cold (caching off) vs warm",

@@ -812,7 +812,7 @@ def cmd_churn_serve(args) -> int:
         f"rebinds: {s['scoped_rebinds']} scoped / {s['full_rebinds']} full; "
         f"mean rebuild {s['mean_rebuild_ms']:.1f} ms, "
         f"mean rebind {s['mean_rebind_ms']:.2f} ms, "
-        f"warm query p50 {s['warm_query_p50_us']:.1f} us"
+        f"mean serve {s['mean_serve_ms']:.1f} ms"
     )
     print(
         f"availability: {s['mean_availability']:.3f}, "
@@ -922,7 +922,6 @@ def _serve_multiproc(args, params: dict) -> int:
         pass
     finally:
         supervisor.stop()
-        store.close()
     return 0
 
 

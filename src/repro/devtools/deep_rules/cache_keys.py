@@ -3,9 +3,9 @@
 The correctness story for every digest-keyed cache in this repo is the
 same sentence: *the key must determine the value*.  PR 3 and PR 6 both
 shipped bugs where it didn't — most famously the cross-mode leg-cache
-clobber, where ``_leg_cache`` was keyed by ``(digest, bay)`` while the
-cached legs also depended on the routing ``mode``, so switching modes
-served stale legs.  A reviewer cannot re-check this by eye every time a
+clobber, where the engine's (since removed) shared bay-leg cache was
+keyed by ``(digest, bay)`` while the cached legs also depended on the
+routing ``mode``, so switching modes served stale legs.  A reviewer cannot re-check this by eye every time a
 cache or a transitive callee changes; this pass re-derives it.
 
 For each memoized site (a container read *and* written through a key in

@@ -11,14 +11,15 @@ router that owns all reusable state:
   structures below instead of re-deriving them per construction;
 * **locate memo** — §4.3 bay classification per node (``locate_node`` is a
   geometric containment walk; terminals repeat across a workload);
-* **bay structures / bay legs** — ``bay_structures_for_hole`` computed once
-  per hole and cached under the hole's **content digest**, and the per-bay
-  visibility legs cached under ``(hole digest, bay_index)`` so every
-  planner rebuild re-uses the Θ(h²) filtered legs;
+* **bay structures** — ``bay_structures_for_hole`` computed once per hole
+  and cached under the hole's **content digest**, so router rebuilds after
+  a rebind re-derive only the changed holes' bays;
 * **Dijkstra LRU** — per-source optimal-distance maps over the reference
-  UDG, shared across strategies in a competitiveness run;
-* **route-result LRU** — completed :class:`RouteOutcome` per
-  ``(mode, s, t)``, which makes repeated-query workloads pure lookups.
+  UDG, shared across strategies in a competitiveness run.
+
+The engine keeps no cache of completed routes: ``route_many`` collapses
+duplicate pairs within a batch, and the service worker's payload LRU
+(:mod:`repro.service.batching`) answers repeats across requests.
 
 Invalidation is by content digest, at two granularities.  Every query entry
 point re-hashes the abstraction and, when it changed (mobility scenarios
@@ -27,7 +28,7 @@ wholesale abstraction swaps.  With ``scoped_invalidation`` (the default)
 the pass diffs the **per-hole** content digests
 (:func:`repro.core.abstraction.hole_content_digest`) instead of dropping
 everything: entries belonging to unchanged holes survive, entries of dirty
-holes are evicted, and caches with cross-hole dependencies are patched or
+holes are evicted, and caches with cross-hole dependencies are
 conservatively flushed (see ``docs/dynamic_serving.md`` for the validity
 argument cache by cache).  This is the serving-layer counterpart of the
 paper's dynamic claim: after a movement step only the affected holes'
@@ -45,11 +46,12 @@ and route paths are byte-identical to the pre-engine baseline.  Cache
 telemetry (``engine_query`` / ``engine_invalidate`` events, MetricsCollector
 cache counters) exists only on the caching path.
 
-Returned :class:`RouteOutcome` objects may be shared between callers when
-caching is on — treat them as read-only.
+With caching on, :meth:`QueryEngine.route_many` returns one shared
+:class:`RouteOutcome` for every duplicate of a pair — treat outcomes as
+read-only.
 
 **Concurrency contract.**  The engine is single-owner: its caches are
-plain dicts and ``OrderedDict`` LRUs mutated on every query, so exactly one
+plain dicts and an ``OrderedDict`` LRU mutated on every query, so exactly one
 task or thread may execute queries/invalidations at a time.  The service
 layer (:mod:`repro.service`) enforces this by running one worker task per
 engine with a queue in front.  The only state safe to read from another
@@ -70,12 +72,10 @@ from typing import Any
 import numpy as np
 
 from ..core.abstraction import Abstraction, hole_content_digest
-from ..geometry.visibility import obstacle_bboxes, obstacle_segments
 from ..graphs.shortest_paths import dijkstra
 from ..graphs.udg import Adjacency
 from .bay_routing import BayLocation, bay_structures_for_hole, locate_node
 from .router import HybridRouter, RouteOutcome
-from .waypoints import refresh_bay_legs
 
 __all__ = ["QueryEngine", "EngineStats", "abstraction_digest"]
 
@@ -87,12 +87,8 @@ Box = tuple[float, float, float, float]
 #: never be classified as safely outside its box.
 _BOX_PAD = 1e-6
 
-#: Route-result survival margin in communication radii: a node beyond this
-#: distance from a cached route's bounding box cannot influence any Chew
-#: corridor the route depends on (corridor vertices lie within one radius
-#: of a leg segment; LDel² triangle acceptance is 2-hop ≈ 2 radii local;
-#: one radius of slack on top).
-_ROUTE_MARGIN_RADII = 4.0
+#: LRU bound of the per-source optimal-distance maps.
+DIJKSTRA_CACHE_SIZE = 64
 
 
 def abstraction_digest(abstraction: Abstraction) -> str:
@@ -133,28 +129,11 @@ def _pad_box(box: Box, pad: float) -> Box:
     return (box[0] - pad, box[1] - pad, box[2] + pad, box[3] + pad)
 
 
-def _boxes_intersect(a: Box, b: Box) -> bool:
-    return a[0] <= b[2] and a[2] >= b[0] and a[1] <= b[3] and a[3] >= b[1]
-
-
 def _point_in_any_box(p: np.ndarray, boxes: Sequence[Box]) -> bool:
     x, y = float(p[0]), float(p[1])
     return any(
         x0 <= x <= x1 and y0 <= y <= y1 for x0, y0, x1, y1 in boxes
     )
-
-
-def _any_point_in_box(box: Box, coords: np.ndarray) -> bool:
-    if coords.size == 0:
-        return False
-    x0, y0, x1, y1 = box
-    inside = (
-        (coords[:, 0] >= x0)
-        & (coords[:, 0] <= x1)
-        & (coords[:, 1] >= y0)
-        & (coords[:, 1] <= y1)
-    )
-    return bool(inside.any())
 
 
 @dataclass(frozen=True)
@@ -289,8 +268,6 @@ class QueryEngine:
         ``True`` (default) diffs per-hole content digests on every
         invalidation and keeps entries the diff proves still valid;
         ``False`` restores whole-cache flushes on any change.
-    dijkstra_cache_size / result_cache_size:
-        LRU bounds for the per-source distance maps and route results.
     max_replans:
         Forwarded to every :class:`HybridRouter`.
     metrics:
@@ -309,8 +286,6 @@ class QueryEngine:
         udg: Adjacency | None = None,
         caching: bool = True,
         scoped_invalidation: bool = True,
-        dijkstra_cache_size: int = 64,
-        result_cache_size: int = 4096,
         max_replans: int = 4,
         metrics=None,
         trace=None,
@@ -324,8 +299,6 @@ class QueryEngine:
         )
         self.caching = caching
         self.scoped_invalidation = scoped_invalidation
-        self.dijkstra_cache_size = dijkstra_cache_size
-        self.result_cache_size = result_cache_size
         self.max_replans = max_replans
         self.metrics = metrics
         self.trace = trace
@@ -336,14 +309,7 @@ class QueryEngine:
         #: hole content digest -> per-hole (groups, arc_edges) keyed by
         #: bay index (see :func:`bay_structures_for_hole`)
         self._bay_struct_cache: dict[str, tuple[dict, dict]] = {}
-        #: shared across planner rebuilds; keyed (hole digest, bay_index)
-        #: so entries of unchanged holes survive scoped rebinds and stale
-        #: geometry can never resurrect legs
-        self._leg_cache: dict[tuple, list] = {}
         self._dijkstra_lru: "OrderedDict[int, dict[int, float]]" = OrderedDict()
-        self._result_lru: "OrderedDict[tuple[str, int, int], RouteOutcome]" = (
-            OrderedDict()
-        )
         self._bind(abstraction)
 
     # -- telemetry -----------------------------------------------------------
@@ -501,15 +467,11 @@ class QueryEngine:
                 "survived": 0,
                 "evicted": len(self._bay_struct_cache),
             },
-            "bay_legs": {"survived": 0, "evicted": len(self._leg_cache)},
             "dijkstra": {"survived": 0, "evicted": len(self._dijkstra_lru)},
-            "route_result": {"survived": 0, "evicted": len(self._result_lru)},
         }
         self._locate_memo.clear()
         self._bay_struct_cache.clear()
-        self._leg_cache.clear()
         self._dijkstra_lru.clear()
-        self._result_lru.clear()
         return detail
 
     def _flush_scoped(
@@ -583,48 +545,6 @@ class QueryEngine:
         }
         self._bay_struct_cache = kept_structs
 
-        # Bay visibility legs: a clean hole's entry survives but is
-        # *patched* — candidate pairs whose segment box touches a dirty
-        # region (including pairs toward a changed hole's new hull nodes)
-        # are re-tested against the new obstacle set; all other verdicts
-        # provably carry over (see refresh_bay_legs).
-        kept_legs: dict[tuple, list] = {}
-        legs_survived = legs_evicted = 0
-        if self._leg_cache:
-            new_obstacles = [
-                p for p in new_abst.boundary_polygons() if len(p) >= 3
-            ]
-            segments = obstacle_segments(new_obstacles)
-            bboxes = obstacle_bboxes(new_obstacles)
-            base_new = sorted(new_abst.hull_nodes())
-            for key, legs in self._leg_cache.items():
-                digest, bay_index = key
-                entry = kept_structs.get(digest)
-                if digest not in clean_digests or entry is None:
-                    legs_evicted += 1
-                    continue
-                group = entry[0].get(bay_index)
-                if group is None:
-                    legs_evicted += 1
-                    continue
-                patched, _, _ = refresh_bay_legs(
-                    new_pts,
-                    group,
-                    base_new,
-                    legs,
-                    new_obstacles,
-                    segments=segments,
-                    bboxes=bboxes,
-                    dirty_boxes=dirty_boxes,
-                )
-                kept_legs[key] = patched
-                legs_survived += 1
-        detail["bay_legs"] = {
-            "survived": legs_survived,
-            "evicted": legs_evicted,
-        }
-        self._leg_cache = kept_legs
-
         # Dijkstra distance maps cover every node of the UDG, so any
         # coordinate or adjacency change can perturb them; they survive
         # only a structure-only rebind that left the metric graph intact.
@@ -643,70 +563,7 @@ class QueryEngine:
             }
             self._dijkstra_lru.clear()
 
-        # Route results: survive only when the cached path's influence
-        # region (its bounding box plus the Chew-locality margin) contains
-        # no moved node and touches no dirty region — and, for routes that
-        # consulted the waypoint planner (case != "visible"), only when no
-        # hole changed at all, because the planner's graph is global.
-        kept_results: "OrderedDict[tuple[str, int, int], RouteOutcome]" = (
-            OrderedDict()
-        )
-        dirty_exists = bool(dirty_old or dirty_new)
-        margin = _ROUTE_MARGIN_RADII * float(new_abst.graph.radius)
-        moved_coords = (
-            np.vstack([old_pts[moved_idx], new_pts[moved_idx]])
-            if moved_idx.size
-            else np.empty((0, 2))
-        )
-        for key, outcome in self._result_lru.items():
-            if self._route_survives(
-                outcome, moved, moved_coords, dirty_boxes, dirty_exists,
-                margin, new_pts,
-            ):
-                kept_results[key] = outcome
-        detail["route_result"] = {
-            "survived": len(kept_results),
-            "evicted": len(self._result_lru) - len(kept_results),
-        }
-        self._result_lru = kept_results
-
         return detail, len(dirty_new)
-
-    @staticmethod
-    def _route_survives(
-        outcome: RouteOutcome,
-        moved: np.ndarray,
-        moved_coords: np.ndarray,
-        dirty_boxes: Sequence[Box],
-        dirty_exists: bool,
-        margin: float,
-        new_pts: np.ndarray,
-    ) -> bool:
-        """Can a cached route provably be reproduced by a cold router?"""
-        if not outcome.reached or outcome.used_fallback:
-            # Fallback and failed routes consulted the global shortest-path
-            # oracle — no local condition bounds their dependencies.
-            return False
-        if outcome.case != "visible" and dirty_exists:
-            # Planner-mediated routes depend on the full waypoint graph;
-            # any changed hole may open a shorter waypoint path anywhere.
-            return False
-        nodes = list(outcome.path) + list(outcome.waypoints)
-        if not nodes:
-            return False
-        arr = np.asarray(nodes, dtype=np.intp)
-        if bool(moved[arr].any()):
-            return False
-        coords = new_pts[arr]
-        region: Box = (
-            float(coords[:, 0].min()) - margin,
-            float(coords[:, 1].min()) - margin,
-            float(coords[:, 0].max()) + margin,
-            float(coords[:, 1].max()) + margin,
-        )
-        if _any_point_in_box(region, moved_coords):
-            return False
-        return not any(_boxes_intersect(region, b) for b in dirty_boxes)
 
     @property
     def digest(self) -> str:
@@ -728,13 +585,6 @@ class QueryEngine:
         loc = locate_node(self.abstraction, node)
         self._locate_memo[node] = loc
         return loc
-
-    def _leg_key(self, bay_id: tuple[int, int]) -> tuple[str, int] | None:
-        """Shared leg-cache key of a bay: (hole content digest, bay index)."""
-        digest = self._hole_digest_by_id.get(bay_id[0])
-        if digest is None:
-            return None
-        return (digest, bay_id[1])
 
     def _get_bay_structs(self) -> tuple[dict, dict]:
         """Merged (groups, arc_edges) over all holes, per-hole memoized."""
@@ -766,22 +616,14 @@ class QueryEngine:
             router = HybridRouter(self.abstraction, mode, self.max_replans)
         else:
             self._record("router", False)
-            extra: dict = {}
-            planner_kwargs: dict = {"cache_hook": self._record}
-            if mode == "hull":
-                extra["bay_structures"] = self._get_bay_structs()
-                # The shared leg cache holds hull-mode bay legs; handing it
-                # to the §3 modes (whose planners have no bay groups) would
-                # let them overwrite a bay's entry with an empty leg list.
-                planner_kwargs["leg_cache"] = self._leg_cache
-                planner_kwargs["leg_cache_key"] = self._leg_key
             router = HybridRouter(
                 self.abstraction,
                 mode,
                 self.max_replans,
                 locator=self._locate,
-                planner_kwargs=planner_kwargs,
-                **extra,
+                bay_structures=(
+                    self._get_bay_structs() if mode == "hull" else None
+                ),
             )
         self._routers[mode] = router
         return router
@@ -793,25 +635,11 @@ class QueryEngine:
         self._check_current()
         if not self.caching:
             return self._router(mode).route(s, t)
-        key = (mode, int(s), int(t))
-        hit = key in self._result_lru
-        self._record("route_result", hit)
-        if hit:
-            self._result_lru.move_to_end(key)
-            outcome = self._result_lru[key]
-        else:
-            outcome = self._router(mode).route(int(s), int(t))
-            self._result_lru[key] = outcome
-            while len(self._result_lru) > self.result_cache_size:
-                self._result_lru.popitem(last=False)
+        outcome = self._router(mode).route(int(s), int(t))
         self.stats.queries += 1
         if self.trace is not None:
             self.trace.emit(
-                "engine_query",
-                mode=mode,
-                source=int(s),
-                target=int(t),
-                cached=hit,
+                "engine_query", mode=mode, source=int(s), target=int(t)
             )
         return outcome
 
@@ -824,9 +652,10 @@ class QueryEngine:
 
         Distinct pairs are processed sorted by ``(source, target)`` so
         queries sharing a source (and their bay activations) run
-        back-to-back against warm caches; duplicates collapse into result
-        lookups.  With caching disabled every query routes individually —
-        batching must not smuggle memoization into the baseline path.
+        back-to-back against warm caches; duplicates are routed once and
+        share one outcome.  With caching disabled every query routes
+        individually — batching must not smuggle memoization into the
+        baseline path.
         """
         mode = self.mode if mode is None else mode
         keyed = [(int(s), int(t)) for s, t in pairs]
@@ -880,7 +709,7 @@ class QueryEngine:
         dist, _ = dijkstra(self.abstraction.points, self.udg, source)
         if self.caching:
             self._dijkstra_lru[source] = dist
-            while len(self._dijkstra_lru) > self.dijkstra_cache_size:
+            while len(self._dijkstra_lru) > DIJKSTRA_CACHE_SIZE:
                 self._dijkstra_lru.popitem(last=False)
         return dist
 

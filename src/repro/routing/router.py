@@ -25,7 +25,7 @@ assumptions).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 
 import numpy as np
 
@@ -33,8 +33,8 @@ from ..core.abstraction import Abstraction
 from ..geometry.primitives import distance
 from ..graphs.shortest_paths import euclidean_shortest_path
 from .bay_routing import BayLocation, bay_waypoint_structures, locate_node
-from .chew import ChewResult, chew_route
-from .waypoints import WaypointPath, WaypointPlanner
+from .chew import chew_route
+from .waypoints import WaypointPlanner
 
 __all__ = ["HybridRouter", "RouteOutcome"]
 
@@ -89,9 +89,6 @@ class HybridRouter:
         Optional precomputed ``bay_waypoint_structures(abstraction)`` result
         (hull mode only) so an engine can derive it once and share it across
         router rebuilds.
-    planner_kwargs:
-        Extra keyword arguments forwarded to :class:`WaypointPlanner`
-        (the engine passes its shared leg cache through here).
     """
 
     def __init__(
@@ -102,7 +99,6 @@ class HybridRouter:
         *,
         locator: Callable[[int], BayLocation | None] | None = None,
         bay_structures: tuple[dict, dict] | None = None,
-        planner_kwargs: dict | None = None,
     ) -> None:
         if mode not in ("hull", "visibility", "delaunay"):
             raise ValueError(f"unknown router mode {mode!r}")
@@ -135,7 +131,6 @@ class HybridRouter:
             structure=structure,
             bay_groups=bay_groups,
             bay_arc_edges=bay_arcs,
-            **(planner_kwargs or {}),
         )
 
     def _build_tri_of_edge(self):

@@ -25,15 +25,18 @@ computed, and the message then travels leg by leg with Chew's algorithm.
 Bay vertex groups are disabled by default and enabled per query for the
 holes that contain a terminal — matching the paper's storage discipline
 (case 1 uses hull corners only; cases 2–5 additionally consult the affected
-bays' dominating sets and extreme points).
+bays' dominating sets and extreme points).  A bay's visibility legs are
+computed on its first activation and kept for the planner's lifetime; the
+planner is bound to one abstraction, so a rebind builds a new planner and
+recomputes them.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
-from collections.abc import Callable, Iterable, Sequence
+from dataclasses import dataclass
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -47,7 +50,7 @@ from ..geometry.visibility import (
     visible_mask,
 )
 
-__all__ = ["WaypointPlanner", "WaypointPath", "Leg", "refresh_bay_legs"]
+__all__ = ["WaypointPlanner", "WaypointPath", "Leg"]
 
 
 @dataclass(frozen=True)
@@ -89,9 +92,6 @@ class WaypointPlanner:
         structure: str = "delaunay",
         bay_groups: dict[int, list[int]] | None = None,
         bay_arc_edges: dict[int, list[tuple[int, int, tuple[int, ...]]]] | None = None,
-        leg_cache: dict | None = None,
-        leg_cache_key: str | Callable[[tuple[int, int]], object] | None = None,
-        cache_hook: Callable[[str, bool], None] | None = None,
     ) -> None:
         """
         Parameters
@@ -112,21 +112,6 @@ class WaypointPlanner:
         bay_arc_edges:
             Optional bay-id → list of ``(u, v, ring_path)`` boundary-arc
             edges between consecutive bay waypoints.
-        leg_cache:
-            Optional externally owned mapping ``key → [Leg]`` that survives
-            planner rebuilds — the
-            :class:`~repro.routing.engine.QueryEngine` shares one across
-            router reconstructions, keyed by per-hole content digests.
-        leg_cache_key:
-            Either a string namespace (entries stored under
-            ``(leg_cache_key, bay_id)``) or a callable ``bay_id → key``
-            returning the full cache key (the engine maps a bay to
-            ``(hole content digest, bay_index)`` so entries of unchanged
-            holes survive scoped rebinds).  A callable returning ``None``
-            opts that bay out of the shared cache.
-        cache_hook:
-            Optional ``hook(cache_name, hit)`` callback fired on every
-            shared-cache lookup (wired to the engine's hit/miss counters).
         """
         self.abstraction = abstraction
         self.points = abstraction.points
@@ -139,9 +124,6 @@ class WaypointPlanner:
         self.base_vertices: list[int] = sorted(set(vertices))
         self.bay_groups = bay_groups or {}
         self.bay_arc_edges = bay_arc_edges or {}
-        self._leg_cache = leg_cache
-        self._leg_cache_key = leg_cache_key
-        self._cache_hook = cache_hook
         self._bay_vis_cache: dict[int, list[Leg]] = {}
         #: adjacency: node -> {node: Leg}
         self.base_edges: dict[int, dict[int, Leg]] = {
@@ -299,25 +281,9 @@ class WaypointPlanner:
 
         return self._dijkstra(src, dst, active, extra_edges, banned or set())
 
-    def _shared_leg_key(self, bay_id) -> object | None:
-        """Full shared-cache key of a bay (None → shared cache bypassed)."""
-        if callable(self._leg_cache_key):
-            return self._leg_cache_key(bay_id)
-        return (self._leg_cache_key, bay_id)
-
     def _bay_visibility(self, bay_id: int) -> list[Leg]:
         if bay_id in self._bay_vis_cache:
             return self._bay_vis_cache[bay_id]
-        shared_key = (
-            self._shared_leg_key(bay_id) if self._leg_cache is not None else None
-        )
-        if self._leg_cache is not None and shared_key is not None:
-            legs = self._leg_cache.get(shared_key)
-            if self._cache_hook is not None:
-                self._cache_hook("bay_legs", legs is not None)
-            if legs is not None:
-                self._bay_vis_cache[bay_id] = legs
-                return legs
         group = self.bay_groups.get(bay_id, [])
         gset = set(group)
         # Unique unordered candidate pairs: group–group plus group–base
@@ -333,8 +299,6 @@ class WaypointPlanner:
             self._add_edge(store, u, v, "chew")
         legs = [leg for m in store.values() for leg in m.values()]
         self._bay_vis_cache[bay_id] = legs
-        if self._leg_cache is not None and shared_key is not None:
-            self._leg_cache[shared_key] = legs
         return legs
 
     def _dijkstra(
@@ -386,74 +350,3 @@ class WaypointPlanner:
         legs.reverse()
         return WaypointPath(legs=legs)
 
-
-def refresh_bay_legs(
-    points: np.ndarray,
-    group: Sequence[int],
-    base_vertices: Sequence[int],
-    cached_legs: Sequence[Leg],
-    obstacles: Sequence[np.ndarray],
-    *,
-    segments: np.ndarray | None = None,
-    bboxes: np.ndarray | None = None,
-    dirty_boxes: Sequence[tuple[float, float, float, float]] = (),
-) -> tuple[list[Leg], int, int]:
-    """Patch one bay's cached visibility legs after a scoped rebind.
-
-    Recomputes exactly what a fresh :meth:`WaypointPlanner._bay_visibility`
-    would produce for ``(group, base_vertices)`` against the **new**
-    obstacle set, but reuses the cached verdicts for every candidate pair
-    whose segment bounding box misses all ``dirty_boxes`` (the old and new
-    bounding boxes of the changed holes).  Such a pair's endpoints are
-    unmoved and no obstacle segment that could cross it changed, so its
-    old visibility verdict — present in ``cached_legs`` iff visible — still
-    holds; only pairs touching a dirty region get re-tested, which also
-    covers pairs toward a changed hole's new hull nodes (their endpoint
-    lies inside the new dirty box) and pairs previously blocked by a
-    boundary that moved away.
-
-    Returns ``(legs, kept_pairs, rechecked_pairs)``.
-    """
-    pts = points
-    gset = set(group)
-    candidates: list[tuple[int, int]] = []
-    for i, u in enumerate(group):
-        candidates.extend((u, v) for v in group[i + 1 :] if v != u)
-        candidates.extend(
-            (u, v) for v in base_vertices if v != u and v not in gset
-        )
-    cached_pairs = {frozenset((leg.src, leg.dst)) for leg in cached_legs}
-
-    def touches_dirty(u: int, v: int) -> bool:
-        ax, ay = pts[u]
-        bx, by = pts[v]
-        lo_x, hi_x = (ax, bx) if ax <= bx else (bx, ax)
-        lo_y, hi_y = (ay, by) if ay <= by else (by, ay)
-        for x0, y0, x1, y1 in dirty_boxes:
-            if lo_x <= x1 and hi_x >= x0 and lo_y <= y1 and hi_y >= y0:
-                return True
-        return False
-
-    kept: list[tuple[int, int]] = []
-    recheck: list[tuple[int, int]] = []
-    for u, v in candidates:
-        if touches_dirty(u, v):
-            recheck.append((u, v))
-        elif frozenset((u, v)) in cached_pairs:
-            kept.append((u, v))
-    newly_visible: list[tuple[int, int]] = []
-    if recheck:
-        arr = np.asarray(recheck, dtype=np.intp)
-        vis = visible_mask(
-            pts[arr[:, 0]], pts[arr[:, 1]], obstacles,
-            segments=segments, bboxes=bboxes,
-        )
-        newly_visible = [
-            (int(u), int(v)) for (u, v), ok in zip(recheck, vis) if ok
-        ]
-    legs: list[Leg] = []
-    for u, v in kept + newly_visible:
-        w = distance(pts[u], pts[v])
-        legs.append(Leg(u, v, "chew", None, w))
-        legs.append(Leg(v, u, "chew", None, w))
-    return legs, len(kept), len(recheck)

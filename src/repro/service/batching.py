@@ -13,8 +13,8 @@ reference; they await a future the worker resolves.
 in the queue.  When the worker comes back around it drains everything
 waiting (up to ``max_batch`` pairs) and coalesces adjacent same-mode
 route requests into a single :meth:`QueryEngine.route_many` call, which
-sorts distinct pairs and collapses duplicates into cache hits — the
-batching the engine was built for.  An optional ``batch_window`` adds a
+sorts distinct pairs and routes each duplicate once — the batching the
+engine was built for.  An optional ``batch_window`` adds a
 bounded wait after the first dequeue so bursty-but-sparse arrivals can
 coalesce too; the wait ends **early** the moment the ``max_batch`` pair
 budget is filled (a saturated queue must never buy extra latency), and
@@ -29,11 +29,13 @@ carries an honest come-back hint instead of silently growing the queue.
 
 **Response fast path.**  Served route payloads are deterministic given
 the engine's bound digest, so the worker keeps a bounded LRU of payloads
-keyed ``(mode, s, t)``.  A request whose pairs are all cached is answered
-on the event loop without an engine call or thread hop.  The cache is
-dropped on every rebind, and the fast path is suspended while a rebind
-is queued (``_pending_rebinds``) so a request submitted after a rebind
-can never be answered from pre-rebind state.  With ``caching=False``
+keyed ``(mode, s, t)`` — the only result-level cache of the serving
+path (the engine caches routing ingredients, not finished routes).  A
+request whose pairs are all cached is answered on the event loop without
+an engine call or thread hop.  The cache is dropped on every rebind,
+and the fast path is suspended while a rebind is queued
+(``_pending_rebinds``) so a request submitted after a rebind can never
+be answered from pre-rebind state.  With ``caching=False``
 engines the fast path is disabled entirely — the differential baseline
 must exercise the full route path on every request.
 
@@ -75,6 +77,9 @@ __all__ = [
     "WorkerOverloadedError",
     "WorkerStoppedError",
 ]
+
+#: LRU bound of the per-pair response payload fast path.
+RESPONSE_CACHE_SIZE = 8192
 
 
 class WorkerStoppedError(RuntimeError):
@@ -178,9 +183,6 @@ class EngineWorker:
         Admission bound on requests waiting in the queue; ``None`` (the
         default) admits everything.  Submissions beyond the bound raise
         :class:`WorkerOverloadedError` instead of enqueueing.
-    response_cache_size:
-        LRU bound for the per-pair response payload fast path (0 turns
-        the fast path off).
     """
 
     def __init__(
@@ -191,7 +193,6 @@ class EngineWorker:
         max_batch: int = 512,
         batch_window: float = 0.0,
         max_queue_depth: int | None = None,
-        response_cache_size: int = 8192,
     ) -> None:
         self.engine = engine
         self.metrics = metrics
@@ -200,7 +201,6 @@ class EngineWorker:
         self.max_queue_depth = (
             None if max_queue_depth is None else max(1, int(max_queue_depth))
         )
-        self.response_cache_size = max(0, int(response_cache_size))
         self.stats = WorkerStats()
         self._queue: asyncio.Queue[Any] = asyncio.Queue()
         self._task: asyncio.Task | None = None
@@ -308,12 +308,12 @@ class EngineWorker:
         mode: str | None,
         payloads: list[dict[str, Any]],
     ) -> None:
-        if self.response_cache_size <= 0 or not self.engine.caching:
+        if not self.engine.caching:
             return
         effective = mode if mode is not None else self.engine.mode
         for (s, t), payload in zip(pairs, payloads):
             self._response_cache[(effective, int(s), int(t))] = payload
-        while len(self._response_cache) > self.response_cache_size:
+        while len(self._response_cache) > RESPONSE_CACHE_SIZE:
             self._response_cache.popitem(last=False)
 
     async def route(

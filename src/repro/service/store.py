@@ -2,30 +2,21 @@
 
 One built abstraction, N serving processes, no N copies: the store keeps
 each published instance exactly once, keyed by its
-:func:`~repro.routing.engine.abstraction_digest`, and makes it available
-to worker processes through one of two mechanisms —
-
-**Fork inheritance (the default on Linux).**  The store holds the live
+:func:`~repro.routing.engine.abstraction_digest`, and hands it to worker
+processes by **fork inheritance**.  The store holds the live
 ``(abstraction, udg)`` objects; a worker forked *after* ``publish`` sees
 them through copy-on-write page sharing.  Building one engine per worker
 over the shared abstraction costs only the engine's own (empty) caches —
 the abstraction's points, holes, rings, and adjacency are physical pages
 shared with the parent until someone writes them, and nobody writes them:
 the serving path treats bound abstractions as immutable (the same
-invariant engine cache keying already relies on).
+invariant engine cache keying already relies on).  The
+:class:`~repro.service.supervisor.ServiceSupervisor` always forks its
+workers, so a store that did not fork from the publisher has nothing to
+load.
 
-**Shared-memory blobs (spawn-safe).**  ``publish(..., shared=True)``
-additionally pickles the instance into a
-:class:`multiprocessing.shared_memory.SharedMemory` segment.  A process
-that did *not* fork from the publisher (spawn start method, or a
-separately launched worker) reconstructs the store from
-:meth:`manifest` + :meth:`attach`: the manifest carries segment names and
-sizes, attach maps the segments and unpickles.  Unpickling does
-materialize a per-process copy — that is the spawn tax; fork workers
-never pay it.
-
-The store is deliberately not a registry: it owns bytes and object
-graphs, not engines.  Each worker process builds its own
+The store is deliberately not a registry: it owns object graphs, not
+engines.  Each worker process builds its own
 :class:`~repro.service.registry.InstanceRegistry` over ``load()``-ed
 instances so that engines, caches, and metrics are strictly per-process
 (fork-safety: mutable state created pre-fork must not be shared
@@ -34,9 +25,7 @@ post-fork — the store shares only the immutable inputs).
 
 from __future__ import annotations
 
-import pickle
 from dataclasses import dataclass, field
-from multiprocessing import shared_memory
 from typing import Any
 
 from ..routing.engine import abstraction_digest
@@ -46,45 +35,23 @@ __all__ = ["InstanceStore", "StoredInstance"]
 
 @dataclass
 class StoredInstance:
-    """One published instance: identity, metadata, and backing."""
+    """One published instance: identity and metadata."""
 
     digest: str
     mode: str
     n: int
     holes: int
     params: dict[str, Any] = field(default_factory=dict)
-    #: pickled size when a shared-memory blob backs this entry (0 = fork-only)
-    nbytes: int = 0
-    #: SharedMemory segment name, ``None`` when fork inheritance is the backing
-    shm_name: str | None = None
-
-    def describe(self) -> dict[str, Any]:
-        """JSON-ready manifest row (what :meth:`InstanceStore.manifest` emits)."""
-        return {
-            "digest": self.digest,
-            "mode": self.mode,
-            "n": self.n,
-            "holes": self.holes,
-            "params": dict(self.params),
-            "nbytes": self.nbytes,
-            "shm_name": self.shm_name,
-        }
 
 
 class InstanceStore:
-    """Digest-keyed store of built instances shared across worker processes."""
+    """Digest-keyed store of built instances shared with forked workers."""
 
     def __init__(self) -> None:
         self._entries: dict[str, StoredInstance] = {}
-        self._order: list[str] = []
         #: digest -> (abstraction, udg) — the fork-inherited live objects
         self._live: dict[str, tuple[Any, Any]] = {}
-        #: digest -> owned SharedMemory segment (publisher side)
-        self._segments: dict[str, shared_memory.SharedMemory] = {}
-        #: segments this process merely attached (no unlink on close)
-        self._attached: dict[str, shared_memory.SharedMemory] = {}
 
-    # -- publishing ----------------------------------------------------------
     def publish(
         self,
         abstraction: Any,
@@ -92,15 +59,8 @@ class InstanceStore:
         *,
         mode: str = "hull",
         params: dict[str, Any] | None = None,
-        shared: bool = False,
     ) -> StoredInstance:
-        """Publish a built instance; idempotent per content digest.
-
-        ``shared=True`` also writes a pickled blob into a SharedMemory
-        segment so non-forked processes can :meth:`attach`.  Re-publishing
-        an existing digest with ``shared=True`` upgrades a fork-only entry
-        in place.
-        """
+        """Publish a built instance; idempotent per content digest."""
         digest = abstraction_digest(abstraction)
         entry = self._entries.get(digest)
         if entry is None:
@@ -113,103 +73,22 @@ class InstanceStore:
                 params=dict(params or {}),
             )
             self._entries[digest] = entry
-            self._order.append(digest)
             self._live[digest] = (abstraction, udg)
-        if shared and entry.shm_name is None:
-            blob = pickle.dumps(
-                (abstraction, udg), protocol=pickle.HIGHEST_PROTOCOL
-            )
-            segment = shared_memory.SharedMemory(create=True, size=len(blob))
-            segment.buf[: len(blob)] = blob
-            self._segments[digest] = segment
-            entry.nbytes = len(blob)
-            entry.shm_name = segment.name
         return entry
 
-    # -- access --------------------------------------------------------------
     def load(self, digest: str) -> tuple[Any, Any]:
-        """The ``(abstraction, udg)`` behind ``digest``.
-
-        Fork-inherited (or locally published) entries return the live
-        objects directly — zero copies.  An attached entry without live
-        objects unpickles from its shared-memory segment on first load and
-        caches the result (one materialization per process).
-        """
-        if digest in self._live:
+        """The live ``(abstraction, udg)`` behind ``digest`` — zero copies."""
+        try:
             return self._live[digest]
-        entry = self._entries.get(digest)
-        if entry is None:
-            raise KeyError(f"unknown instance {digest!r}")
-        if entry.shm_name is None:
-            raise KeyError(
-                f"instance {digest[:12]} has no shared-memory backing and "
-                "no live object in this process (fork-only entry loaded "
-                "from a non-forked process?)"
-            )
-        segment = self._attached.get(digest)
-        if segment is None:
-            segment = shared_memory.SharedMemory(name=entry.shm_name)
-            self._attached[digest] = segment
-        loaded = pickle.loads(bytes(segment.buf[: entry.nbytes]))
-        self._live[digest] = loaded
-        return loaded
+        except KeyError:
+            raise KeyError(f"unknown instance {digest!r}") from None
 
     def entries(self) -> list[StoredInstance]:
         """Entries in publication order."""
-        return [self._entries[d] for d in self._order]
-
-    def manifest(self) -> list[dict[str, Any]]:
-        """JSON/pickle-ready rows describing every published entry."""
-        return [entry.describe() for entry in self.entries()]
-
-    @classmethod
-    def attach(cls, manifest: list[dict[str, Any]]) -> InstanceStore:
-        """Reconstruct a store from another process's :meth:`manifest`.
-
-        Only shared-memory-backed rows are loadable afterwards; fork-only
-        rows are listed (identity + metadata) but :meth:`load` on them
-        raises, because there is nothing to attach to.
-        """
-        store = cls()
-        for row in manifest:
-            entry = StoredInstance(
-                digest=row["digest"],
-                mode=row["mode"],
-                n=row["n"],
-                holes=row["holes"],
-                params=dict(row.get("params", {})),
-                nbytes=int(row.get("nbytes", 0)),
-                shm_name=row.get("shm_name"),
-            )
-            store._entries[entry.digest] = entry
-            store._order.append(entry.digest)
-        return store
+        return list(self._entries.values())
 
     def __len__(self) -> int:
         return len(self._entries)
 
     def __contains__(self, digest: str) -> bool:
         return digest in self._entries
-
-    # -- teardown ------------------------------------------------------------
-    def close(self) -> None:
-        """Detach attached segments; unlink (destroy) owned ones.
-
-        Safe to call repeatedly; the publisher's close releases the
-        shared-memory names for the whole machine, so call it only after
-        worker processes are done attaching.
-        """
-        for segment in self._attached.values():
-            segment.close()
-        self._attached.clear()
-        for digest, segment in list(self._segments.items()):
-            segment.close()
-            try:
-                segment.unlink()
-            except FileNotFoundError:
-                pass
-            entry = self._entries.get(digest)
-            if entry is not None:
-                entry.shm_name = None
-                entry.nbytes = 0
-        self._segments.clear()

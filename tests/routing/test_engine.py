@@ -94,25 +94,6 @@ class TestParity:
 
 
 class TestCaches:
-    def test_result_cache_hits(self, inst, pairs):
-        _, graph, abst = inst
-        engine = QueryEngine(abst, "hull", udg=graph.udg)
-        s, t = pairs[0]
-        engine.route(s, t)
-        engine.route(s, t)
-        row = engine.stats.cache["route_result"]
-        assert row == {"hits": 1, "misses": 1}
-
-    def test_result_cache_eviction(self, inst, pairs):
-        _, graph, abst = inst
-        engine = QueryEngine(abst, "hull", udg=graph.udg, result_cache_size=1)
-        (s1, t1), (s2, t2) = pairs[0], pairs[1]
-        engine.route(s1, t1)
-        engine.route(s2, t2)  # evicts the first entry
-        engine.route(s1, t1)  # must recompute
-        assert engine.stats.cache["route_result"]["hits"] == 0
-        assert engine.stats.cache["route_result"]["misses"] == 3
-
     def test_dijkstra_cache_and_optimal(self, inst, pairs):
         _, graph, abst = inst
         engine = QueryEngine(abst, "hull", udg=graph.udg)
@@ -130,8 +111,9 @@ class TestCaches:
         engine.route(s, t)
         engine.route(s, t)
         summary = metrics.cache_summary()
-        assert summary["route_result"]["hits"] == 1
-        assert summary["route_result"]["hit_rate"] == pytest.approx(0.5)
+        # The repeat re-runs the same classifications, all from the memo.
+        assert summary["locate"]["hits"] == summary["locate"]["misses"] > 0
+        assert summary["locate"]["hit_rate"] == pytest.approx(0.5)
 
     def test_metrics_merge_folds_cache_stats(self):
         a, b = MetricsCollector(), MetricsCollector()
@@ -161,7 +143,8 @@ class TestCaches:
         assert s["queries"] == 4
         assert s["batch_queries"] == 4
         assert s["invalidations"] == 0
-        assert "route_result_hit_rate" in s
+        assert "locate_hit_rate" in s
+        assert "route_result_hit_rate" not in s
 
 
 class TestInvalidation:
@@ -243,8 +226,9 @@ class TestScopedInvalidation:
 
     def test_single_hole_perturbation_preserves_other_holes(self):
         """Acceptance criterion: perturb one hole of a multi-hole instance;
-        every bay-leg and locate entry of the untouched holes survives and
-        the served routes match a from-scratch engine exactly."""
+        the bay structures of every untouched hole survive, locate entries
+        away from the dirty hole survive, and the served routes match a
+        from-scratch engine exactly."""
         from repro.core.abstraction import hole_content_digest
 
         sc, graph, abst, engine, pairs = self._warm_multi_hole()
@@ -253,34 +237,32 @@ class TestScopedInvalidation:
         victim_hole = inner[0]
         victim = victim_hole.boundary[0]
 
-        pre_legs = dict(engine._leg_cache)
-        pre_locate = dict(engine._locate_memo)
-        assert pre_legs, "warmup must have populated bay legs"
+        pre_structs = set(engine._bay_struct_cache)
+        assert pre_structs, "warmup must have populated bay structures"
 
         new_abst = self._perturbed_rebuild(abst, victim)
         new_digests = {
             hole_content_digest(h, new_abst.points) for h in new_abst.holes
         }
-        # Entries whose hole digest still exists must survive the rebind.
-        expected_surviving = {
-            k for k in pre_legs if k[0] in new_digests
-        }
-        assert expected_surviving, "untouched holes must have warm legs"
+        # Every hole whose digest is unchanged keeps its bay structures.
+        expected_surviving = pre_structs & new_digests
+        assert expected_surviving, "untouched holes must have warm structures"
+        assert expected_surviving != pre_structs, "the victim hole is dirty"
 
         engine.rebind(new_abst)
         flush = engine.stats.last_flush
         assert flush["scope"] == "scoped"
         assert flush["reason"] == "rebind"
         assert flush["dirty_holes"] >= 1
-        assert expected_surviving <= set(engine._leg_cache)
-        assert flush["caches"]["bay_legs"]["survived"] == len(
+        assert set(engine._bay_struct_cache) == expected_surviving
+        assert flush["caches"]["bay_structs"]["survived"] == len(
             expected_surviving
         )
         # Locate entries for nodes away from the dirty hole survive too.
         assert flush["caches"]["locate"]["survived"] > 0
         assert engine.stats.scoped_invalidations == 1
         assert engine.stats.full_invalidations == 0
-        assert engine.stats.survival_rate("bay_legs") > 0.0
+        assert engine.stats.survival_rate("bay_structs") > 0.0
 
         # Zero route mismatches versus a from-scratch engine.
         cold = QueryEngine(new_abst, "hull", caching=False)
@@ -293,9 +275,7 @@ class TestScopedInvalidation:
         pre_sizes = {
             "locate": len(engine._locate_memo),
             "bay_structs": len(engine._bay_struct_cache),
-            "bay_legs": len(engine._leg_cache),
             "dijkstra": len(engine._dijkstra_lru),
-            "route_result": len(engine._result_lru),
         }
         victim = [h for h in abst.holes if not h.is_outer][0].boundary[0]
         engine.rebind(self._perturbed_rebuild(abst, victim))
@@ -314,7 +294,7 @@ class TestScopedInvalidation:
         assert all(
             row["survived"] == 0 for row in flush["caches"].values()
         )
-        assert not engine._leg_cache and not engine._locate_memo
+        assert not engine._bay_struct_cache and not engine._locate_memo
 
     def test_scoped_invalidation_off_restores_full_flush(self):
         sc, graph, abst = _mk(seed=3, width=14.0, holes=3)
@@ -444,10 +424,14 @@ class TestEvaluateIntegration:
         )
         assert len(outs) == 6
         assert engine.stats.queries == 6
+        first = dict(engine.stats.cache["locate"])
         # A warm engine can be handed to the next workload.
         outs2, engine2 = run_query_workload(abst, pairs[:6], engine=engine)
         assert engine2 is engine
-        assert engine.stats.cache["route_result"]["hits"] >= 6
+        # The repeat workload classifies every node from the memo.
+        row = engine.stats.cache["locate"]
+        assert row["misses"] == first["misses"] > 0
+        assert row["hits"] == 2 * first["hits"] + first["misses"]
 
 
 class TestStatsConcurrency:

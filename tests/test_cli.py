@@ -384,7 +384,8 @@ class TestChurnServeCommand:
         assert rc == 0
         payload = json.loads(path.read_text())
         assert len(payload["rows"]) == 2
-        assert "warm_query_p50_us" in payload["summary"]
+        assert "mean_serve_ms" in payload["summary"]
+        assert "warm_query_p50_us" not in payload["summary"]
 
     def test_full_flush_flag_disables_scoping(self, capsys):
         rc = main(["churn-serve", *self.SERVE_ARGS, "--full-flush"])

@@ -175,9 +175,7 @@ def test_churn_never_serves_stale_routes(events, seed):
         pre_sizes = {
             "locate": len(engine._locate_memo),
             "bay_structs": len(engine._bay_struct_cache),
-            "bay_legs": len(engine._leg_cache),
             "dijkstra": len(engine._dijkstra_lru),
-            "route_result": len(engine._result_lru),
         }
         old_digests = set(engine.hole_digests.values())
 
