@@ -20,7 +20,7 @@ byte-differentially verified against a cache-less in-process engine:
    oracle.
 3. **Churn under traffic** — a deterministic movement-only
    :class:`~repro.analysis.ChurnRebinder` schedule rebinds every worker
-   (scoped invalidation, through each worker's engine queue) while
+   (a full cache flush, through each worker's engine queue) while
    clients keep routing; measures per-step broadcast rebind latency,
    query availability (error rate excluding deliberate 429s must stay
    under 1%), and a quiesced post-churn differential on the final

@@ -6,22 +6,19 @@ measures the **serving** side of the same story: a
 while the network churns underneath it.  Each step applies one
 :class:`~repro.scenarios.mobility.ChurnEvent` (bounded-speed movement, or a
 node joining/leaving), rebuilds the abstraction from scratch, rebinds the
-engine — scoped invalidation keeps the untouched holes' cache entries warm
-— and then serves a batch of routing queries, recording:
+engine (a full flush of its caches) and then serves a batch of routing
+queries, recording:
 
 * **recompute latency** — abstraction rebuild plus engine rebind;
-* **cache survival** — fraction of engine cache entries the scoped differ
-  kept across the rebind (movement steps keep clean holes; join/leave
-  renumbers the node space and forces a full flush);
 * **serve latency** — wall time of routing the step's batch right after
-  the rebind, i.e. against whatever the scoped differ kept warm;
+  the rebind, i.e. against freshly flushed caches;
 * **query availability** — fraction of queries answered with a delivered
   route on the post-event topology.
 
 With ``verify=True`` every step additionally replays the batch on a
 cache-less engine over the same abstraction and counts mismatches — the
-differential guardrail that scoped invalidation never changes an answer
-(the test suite pins this at zero).
+differential guardrail that a warm engine never serves a stale answer
+after a rebind (the test suite pins this at zero).
 """
 
 from __future__ import annotations
@@ -82,8 +79,7 @@ class ChurnRebinder:
     the same ``ChurnRebinder`` parameters see byte-for-byte the same
     sequence of topologies — the property E18's differential check rests
     on.  The defaults are movement-only (``p_join = p_leave = 0``): node
-    count then stays fixed, client pair pools stay valid across steps,
-    and every rebind is eligible for scoped invalidation.
+    count then stays fixed, so client pair pools stay valid across steps.
     """
 
     def __init__(
@@ -155,7 +151,6 @@ def run_churn_serving(
     batch: int = 1,
     move_fraction: float = 0.15,
     mode: str = "hull",
-    scoped: bool = True,
     verify: bool = False,
     events: Sequence[ChurnEvent] | None = None,
     trace=None,
@@ -164,7 +159,7 @@ def run_churn_serving(
 
     Returns ``{"rows": [...], "summary": {...}}`` — one row per step with
     the per-step measurements, and the aggregate engine statistics plus
-    overall latency/survival figures.  Fully deterministic given ``seed``
+    overall latency figures.  Fully deterministic given ``seed``
     (and ``events``, when a pre-built schedule is supplied); only the
     wall-clock timing fields vary between runs, and the optional ``trace``
     receives none of them.
@@ -192,11 +187,9 @@ def run_churn_serving(
     query_rng = np.random.default_rng(seed + 3)
 
     abst = build_abstraction(build_ldel(sc.points))
-    engine = QueryEngine(
-        abst, mode, scoped_invalidation=scoped, trace=trace
-    )
+    engine = QueryEngine(abst, mode, trace=trace)
     # Prime the caches with one batch on the initial topology, so step 1
-    # already measures survival of a warm engine.
+    # already rebinds a warm engine.
     engine.route_many(sample_pairs(sc.n, queries_per_step, query_rng))
 
     rows: list[dict[str, Any]] = []
@@ -211,10 +204,7 @@ def run_churn_serving(
         rebind_s = time.perf_counter() - t0
 
         flush = engine.stats.last_flush or {}
-        caches = flush.get("caches", {})
-        survived = sum(c["survived"] for c in caches.values())
-        evicted = sum(c["evicted"] for c in caches.values())
-        total = survived + evicted
+        evicted = sum(c["evicted"] for c in flush.get("caches", {}).values())
 
         n = len(pts)
         pairs = sample_pairs(n, queries_per_step, query_rng)
@@ -236,9 +226,6 @@ def run_churn_serving(
                 step=step,
                 event=event.kind,
                 n=n,
-                scope=flush.get("scope", ""),
-                dirty_holes=int(flush.get("dirty_holes", 0)),
-                survived=survived,
                 evicted=evicted,
                 availability=availability,
             )
@@ -247,9 +234,6 @@ def run_churn_serving(
             "event": event.kind,
             "n": n,
             "holes": len([h for h in new_abst.holes if not h.is_outer]),
-            "scope": flush.get("scope", ""),
-            "dirty_holes": int(flush.get("dirty_holes", 0)),
-            "survival": survived / total if total else 0.0,
             "rebuild_ms": rebuild_s * 1e3,
             "rebind_ms": rebind_s * 1e3,
             "serve_ms": serve_s * 1e3,
@@ -264,16 +248,11 @@ def run_churn_serving(
         "moves": sum(1 for r in rows if r["event"] == "move"),
         "joins": sum(1 for r in rows if r["event"] == "join"),
         "leaves": sum(1 for r in rows if r["event"] == "leave"),
-        "scoped_rebinds": engine.stats.scoped_invalidations,
-        "full_rebinds": engine.stats.full_invalidations,
         "mean_rebuild_ms": float(np.mean([r["rebuild_ms"] for r in rows])),
         "mean_rebind_ms": float(np.mean([r["rebind_ms"] for r in rows])),
         "mean_serve_ms": float(np.mean([r["serve_ms"] for r in rows])),
         "mean_availability": float(
             np.mean([r["availability"] for r in rows])
-        ),
-        "mean_survival_scoped": float(
-            np.mean([r["survival"] for r in rows if r["scope"] == "scoped"] or [0.0])
         ),
         "engine": engine.stats.summary(),
     }

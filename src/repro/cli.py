@@ -13,7 +13,7 @@ Commands
             ``docs/parallel_execution.md``)
 ``chaos``   re-run the §5 pipeline under an injected fault plan and compare
 ``churn-serve`` serve a routing query stream while the network churns,
-            measuring scoped-invalidation survival and latency (E15; see
+            measuring rebuild, rebind and serve latency (E15; see
             ``docs/dynamic_serving.md``)
 ``serve``   run the asyncio HTTP routing service (route/locate queries
             over JSON, ``/healthz`` + ``/metrics``; see
@@ -236,11 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=0.15,
         help="fraction of nodes that move on a mobility step",
-    )
-    p_churn.add_argument(
-        "--full-flush",
-        action="store_true",
-        help="disable scoped invalidation (whole-cache flush per step)",
     )
     p_churn.add_argument(
         "--verify",
@@ -796,7 +791,6 @@ def cmd_churn_serve(args) -> int:
         p_join=args.p_join,
         p_leave=args.p_leave,
         move_fraction=args.move_fraction,
-        scoped=not args.full_flush,
         verify=args.verify,
     )
     rows = [
@@ -809,15 +803,11 @@ def cmd_churn_serve(args) -> int:
     print(format_table(rows, title="serving under churn (E15)"))
     s = res["summary"]
     print(
-        f"rebinds: {s['scoped_rebinds']} scoped / {s['full_rebinds']} full; "
         f"mean rebuild {s['mean_rebuild_ms']:.1f} ms, "
         f"mean rebind {s['mean_rebind_ms']:.2f} ms, "
         f"mean serve {s['mean_serve_ms']:.1f} ms"
     )
-    print(
-        f"availability: {s['mean_availability']:.3f}, "
-        f"scoped cache survival: {s['mean_survival_scoped']:.3f}"
-    )
+    print(f"availability: {s['mean_availability']:.3f}")
     if args.verify:
         print(f"differential mismatches: {s['mismatches']}")
     if args.json:

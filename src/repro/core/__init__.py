@@ -11,7 +11,6 @@ from .abstraction import (
     Bay,
     HoleAbstraction,
     build_abstraction,
-    hole_content_digest,
     reference_dominating_set,
 )
 
@@ -20,6 +19,5 @@ __all__ = [
     "Bay",
     "HoleAbstraction",
     "build_abstraction",
-    "hole_content_digest",
     "reference_dominating_set",
 ]

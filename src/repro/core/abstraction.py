@@ -17,7 +17,6 @@ everyone else keeps O(1).
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from collections.abc import Sequence
 
@@ -35,7 +34,6 @@ __all__ = [
     "HoleAbstraction",
     "Abstraction",
     "build_abstraction",
-    "hole_content_digest",
     "reference_dominating_set",
 ]
 
@@ -113,70 +111,6 @@ class HoleAbstraction:
                 return bay
         return None
 
-    def member_nodes(self) -> list[int]:
-        """Sorted node ids this hole's artifacts reference.
-
-        Boundary, hull, bay arcs and dominating sets — the node set whose
-        coordinates (together with the structure itself) determine every
-        routing artifact derived from this hole.  Bay arcs and hulls are
-        subsets of the boundary on well-formed abstractions; the union is
-        taken anyway so hand-built fixtures digest safely.
-        """
-        out: set[int] = set(self.boundary)
-        out.update(self.hull)
-        for bay in self.bays:
-            out.update(bay.arc)
-            out.update(bay.dominating_set)
-        if self.closing_edge is not None:
-            out.update(self.closing_edge)
-        return sorted(out)
-
-    def member_bbox(
-        self, points: np.ndarray
-    ) -> tuple[float, float, float, float]:
-        """Axis-aligned bounding box ``(xmin, ymin, xmax, ymax)`` of the
-        hole's member nodes (equals the hull's bbox on well-formed holes)."""
-        coords = as_array(points)[self.member_nodes()]
-        return (
-            float(coords[:, 0].min()),
-            float(coords[:, 1].min()),
-            float(coords[:, 0].max()),
-            float(coords[:, 1].max()),
-        )
-
-
-def hole_content_digest(hole: HoleAbstraction, points: np.ndarray) -> str:
-    """Content digest of one hole's routing-relevant state.
-
-    Covers the member coordinates plus the full structure (boundary ring,
-    hull, outer flag, closing edge, bay arcs and dominating sets) —
-    everything a router derives per-hole artifacts from.  Deliberately
-    **excludes** ``hole_id``: the id is a positional label that gets
-    renumbered on every rebuild, while the digest identifies the hole by
-    content so caches keyed on it survive renumbering (see
-    :meth:`repro.routing.engine.QueryEngine.rebind`).
-    """
-    h = hashlib.sha1()
-    coords = np.ascontiguousarray(
-        as_array(points)[hole.member_nodes()], dtype=float
-    )
-    h.update(coords.tobytes())
-    h.update(
-        repr(
-            (
-                tuple(hole.boundary),
-                tuple(hole.hull),
-                hole.is_outer,
-                hole.closing_edge,
-                tuple(
-                    (b.corner_a, b.corner_b, tuple(b.arc), tuple(b.dominating_set))
-                    for b in hole.bays
-                ),
-            )
-        ).encode()
-    )
-    return h.hexdigest()
-
 
 @dataclass
 class Abstraction:
@@ -208,17 +142,6 @@ class Abstraction:
         for h in self.holes:
             out.update(h.boundary)
         return out
-
-    def hole_digests(self) -> list[str]:
-        """Per-hole content digests, aligned with :attr:`holes`.
-
-        The scoped-invalidation unit: two abstractions sharing a digest
-        share that hole's entire routing-relevant state (structure and
-        member coordinates), so caches keyed on the digest remain valid
-        across rebuilds that leave the hole untouched.
-        """
-        pts = self.points
-        return [hole_content_digest(h, pts) for h in self.holes]
 
     # -- geometry -----------------------------------------------------------------
     def hull_polygons(self) -> list[np.ndarray]:

@@ -81,8 +81,8 @@ class IncrementalResult:
     rings_reused: int
     rings_recomputed: int
     outer_reused: bool
-    #: dart signatures of the rings each counter refers to — the dirty set
-    #: the serving layer can cross-check its scoped invalidation against
+    #: dart signatures of the rings each counter refers to (the reused and
+    #: the recomputed set)
     reused_signatures: frozenset[Signature] = frozenset()
     recomputed_signatures: frozenset[Signature] = frozenset()
 

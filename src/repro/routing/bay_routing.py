@@ -120,12 +120,10 @@ def bay_structures_for_hole(
 ) -> tuple[dict[int, list[int]], dict[int, list[tuple[int, int, tuple[int, ...]]]]]:
     """Waypoint vertex groups and arc edges of one hole's bays.
 
-    Returns ``(groups, arc_edges)`` keyed by **bay index only** — the
-    per-hole unit the :class:`~repro.routing.engine.QueryEngine` caches
-    under the hole's content digest, so an unchanged hole's structures
-    survive rebuilds regardless of ``hole_id`` renumbering.  Depends only
-    on the hole itself (arc membership and member coordinates), never on
-    other holes.
+    Returns ``(groups, arc_edges)`` keyed by **bay index only**;
+    :func:`bay_waypoint_structures` merges them under ``(hole_id, bay)``.
+    Depends only on the hole itself (arc membership and member
+    coordinates), never on other holes.
     """
     groups: dict[int, list[int]] = {}
     arc_edges: dict[int, list[tuple[int, int, tuple[int, ...]]]] = {}

@@ -85,10 +85,6 @@ class HybridRouter:
         :class:`~repro.routing.engine.QueryEngine` injects its memoized bay
         classifier here so repeated queries don't re-run the geometric
         location tests.  Must be observationally identical to the default.
-    bay_structures:
-        Optional precomputed ``bay_waypoint_structures(abstraction)`` result
-        (hull mode only) so an engine can derive it once and share it across
-        router rebuilds.
     """
 
     def __init__(
@@ -98,7 +94,6 @@ class HybridRouter:
         max_replans: int = 4,
         *,
         locator: Callable[[int], BayLocation | None] | None = None,
-        bay_structures: tuple[dict, dict] | None = None,
     ) -> None:
         if mode not in ("hull", "visibility", "delaunay"):
             raise ValueError(f"unknown router mode {mode!r}")
@@ -116,11 +111,7 @@ class HybridRouter:
         if mode == "hull":
             vertices = abstraction.hull_nodes()
             structure = "delaunay"
-            bay_groups, bay_arcs = (
-                bay_structures
-                if bay_structures is not None
-                else bay_waypoint_structures(abstraction)
-            )
+            bay_groups, bay_arcs = bay_waypoint_structures(abstraction)
         else:
             vertices = abstraction.boundary_nodes()
             structure = "visibility" if mode == "visibility" else "delaunay"

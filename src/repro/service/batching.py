@@ -32,7 +32,8 @@ the engine's bound digest, so the worker keeps a bounded LRU of payloads
 keyed ``(mode, s, t)`` — the only result-level cache of the serving
 path (the engine caches routing ingredients, not finished routes).  A
 request whose pairs are all cached is answered on the event loop without
-an engine call or thread hop.  The cache is dropped on every rebind,
+an engine call or thread hop; a coalesced group routes only its uncached
+pairs.  The cache is dropped on every rebind,
 and the fast path is suspended while a rebind is queued
 (``_pending_rebinds``) so a request submitted after a rebind can never
 be answered from pre-rebind state.  With ``caching=False``
@@ -108,13 +109,14 @@ class WorkerStats:
     failed: int = 0
     #: submissions refused by admission control (mapped to 429)
     shed: int = 0
-    #: route requests answered from the response payload cache
+    #: route requests answered entirely from the response payload cache on
+    #: submission, without queueing
     fast_path: int = 0
     #: engine calls made for route work (after coalescing)
     route_batches: int = 0
     #: route requests absorbed into those batches
     route_requests: int = 0
-    #: total pairs routed
+    #: total pairs routed (payload-cache hits excluded)
     route_pairs: int = 0
     #: largest single coalesced batch, in pairs
     max_batch_pairs: int = 0
@@ -277,26 +279,32 @@ class EngineWorker:
         future = asyncio.get_running_loop().create_future()
         return _Request(kind=kind, future=future, **kw)
 
+    def _cached_payloads(
+        self, pairs: list[tuple[int, int]], mode: str | None
+    ) -> list[dict[str, Any] | None]:
+        """The cached payload of every pair (``None`` where uncached).
+
+        Cache-less engines report every pair uncached: the differential
+        baseline must route every request.
+        """
+        if not self.engine.caching:
+            return [None] * len(pairs)
+        effective = mode if mode is not None else self.engine.mode
+        cache = self._response_cache
+        return [cache.get((effective, s, t)) for s, t in pairs]
+
     def _fast_payloads(
         self, pairs: list[tuple[int, int]], mode: str | None
     ) -> list[dict[str, Any]] | None:
         """Cached payloads for every pair, or ``None`` on any miss.
 
-        Disabled while a rebind is queued (a request submitted after the
-        rebind must see post-rebind answers) and for cache-less engines
-        (the differential baseline must route every request).
+        Disabled while a rebind is queued: a request submitted after the
+        rebind must see post-rebind answers.
         """
-        if (
-            not self._response_cache
-            or self._pending_rebinds
-            or self._stopped
-            or not self.engine.caching
-        ):
+        if not self._response_cache or self._pending_rebinds or self._stopped:
             return None
-        effective = mode if mode is not None else self.engine.mode
         out: list[dict[str, Any]] = []
-        for s, t in pairs:
-            payload = self._response_cache.get((effective, int(s), int(t)))
+        for payload in self._cached_payloads(pairs, mode):
             if payload is None:
                 return None
             out.append(payload)
@@ -342,9 +350,10 @@ class EngineWorker:
 
         Serialized with query traffic: requests queued ahead of the
         rebind are answered on the old topology, requests submitted after
-        it on the new one.  Scoped invalidation applies exactly as for an
-        in-process :meth:`QueryEngine.rebind`.  Returns the engine's
-        flush record plus the rebind wall time.
+        it on the new one.  The engine flushes every cache, exactly as an
+        in-process :meth:`QueryEngine.rebind` does, and the worker drops
+        its payload cache.  Returns the engine's flush record plus the
+        rebind wall time.
         """
         self._pending_rebinds += 1
         return await self._submit(
@@ -434,17 +443,28 @@ class EngineWorker:
             await self._run_route_group(group)
 
     async def _run_route_group(self, group: list[_Request]) -> None:
+        """Answer a coalesced group, routing only its uncached pairs.
+
+        The payload cache is read here, on the loop, before the thread
+        hop.  The worker runs one queue item at a time, so the cache is in
+        step with the engine: a rebind queued ahead of this group has
+        already dropped it.
+        """
+        mode = group[0].mode
         pairs = [pair for request in group for pair in request.pairs]
+        payloads = self._cached_payloads(pairs, mode)
+        missing = [pair for pair, hit in zip(pairs, payloads) if hit is None]
+        if not missing:
+            self._finish_group(group, payloads)
+            return
         self.stats.route_batches += 1
         self.stats.route_requests += len(group)
-        self.stats.route_pairs += len(pairs)
-        if len(pairs) > self.stats.max_batch_pairs:
-            self.stats.max_batch_pairs = len(pairs)
+        self.stats.route_pairs += len(missing)
+        if len(missing) > self.stats.max_batch_pairs:
+            self.stats.max_batch_pairs = len(missing)
         started = time.perf_counter()
         try:
-            payloads = await asyncio.to_thread(
-                self._serve_route, pairs, group[0].mode
-            )
+            routed = await asyncio.to_thread(self._serve_route, missing, mode)
         except asyncio.CancelledError:
             # Worker task killed mid-call: the in-flight group must not
             # be stranded with pending futures (the engine thread itself
@@ -457,7 +477,17 @@ class EngineWorker:
                 self._fail(request, exc)
             return
         self._observe_batch_seconds(time.perf_counter() - started)
-        self._remember_payloads(pairs, group[0].mode, payloads)
+        self._remember_payloads(missing, mode, routed)
+        fill = iter(routed)
+        self._finish_group(
+            group,
+            [hit if hit is not None else next(fill) for hit in payloads],
+        )
+
+    def _finish_group(
+        self, group: list[_Request], payloads: list[Any]
+    ) -> None:
+        """Hand each request of a group its slice of ``payloads``."""
         offset = 0
         for request in group:
             size = len(request.pairs)
@@ -531,9 +561,8 @@ class EngineWorker:
         started = time.perf_counter()
         self.engine.rebind(abstraction, udg=udg)
         elapsed_ms = (time.perf_counter() - started) * 1e3
-        # Every cached payload was computed on the old topology; the
-        # engine's own scoped differ handles its caches, the response
-        # cache has no per-hole key and is dropped wholesale.
+        # Every cached payload was computed on the old topology, so the
+        # payload cache goes the way of the engine's own caches.
         self._response_cache.clear()
         self.stats.rebinds += 1
         self.stats.last_rebind_ms = elapsed_ms

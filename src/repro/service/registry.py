@@ -215,7 +215,7 @@ class InstanceRegistry:
         """Rebind a live instance onto a rebuilt abstraction.
 
         The rebind runs through the instance's worker queue (strictly
-        serialized with query traffic, scoped invalidation applies), then
+        serialized with query traffic; every cache is flushed), then
         the registry re-keys the instance under the new content digest —
         its position in :attr:`_order` is preserved so the default
         instance stays default across churn.  Returns the worker's

@@ -21,7 +21,7 @@ process group:
   dict commands (``stop``, ``stats``, ``rebind``), the worker answers
   with dict events.  Rebind commands carry the rebuilt abstraction
   through the pipe (``multiprocessing`` pickles it) — each worker then
-  runs the same scoped-invalidation rebind through its engine worker
+  runs the same full-flush rebind through its engine worker
   queue, strictly serialized with that worker's query traffic.  This is
   how churn schedules execute under live load: the supervisor broadcasts
   one rebind per movement step while clients keep routing (E18).
@@ -98,7 +98,7 @@ class WorkerRuntime:
         return registry
 
     def _warm(self, engine: Any, n: int) -> None:
-        """Prime per-hole bay structures by locating a spread of nodes.
+        """Prime the engine's locate memo with a spread of nodes.
 
         Pre-serving, single-threaded: the engine's worker task has not
         started, so this direct use is race-free by construction.

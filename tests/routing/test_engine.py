@@ -208,7 +208,8 @@ class TestInvalidation:
 
 
 class TestScopedInvalidation:
-    """Per-hole digest diffing: untouched holes keep their cache entries."""
+    """Rebinds after local perturbations: every rebind is one full flush,
+    and the warm engine then answers exactly like a from-scratch one."""
 
     def _perturbed_rebuild(self, abst, victim, delta=1e-3):
         """Move one node, rebuild the abstraction from scratch."""
@@ -224,45 +225,22 @@ class TestScopedInvalidation:
         engine.route_many(pairs)
         return sc, graph, abst, engine, pairs
 
-    def test_single_hole_perturbation_preserves_other_holes(self):
-        """Acceptance criterion: perturb one hole of a multi-hole instance;
-        the bay structures of every untouched hole survive, locate entries
-        away from the dirty hole survive, and the served routes match a
-        from-scratch engine exactly."""
-        from repro.core.abstraction import hole_content_digest
-
+    def test_single_hole_perturbation_matches_cold(self):
+        """Perturb one hole of a multi-hole instance: the rebind flushes
+        every cache and the served routes match a from-scratch engine."""
         sc, graph, abst, engine, pairs = self._warm_multi_hole()
         inner = [h for h in abst.holes if not h.is_outer]
         assert len(inner) >= 2, "needs a multi-hole instance"
-        victim_hole = inner[0]
-        victim = victim_hole.boundary[0]
-
-        pre_structs = set(engine._bay_struct_cache)
-        assert pre_structs, "warmup must have populated bay structures"
+        victim = inner[0].boundary[0]
+        assert engine._locate_memo, "warmup must have populated the memo"
 
         new_abst = self._perturbed_rebuild(abst, victim)
-        new_digests = {
-            hole_content_digest(h, new_abst.points) for h in new_abst.holes
-        }
-        # Every hole whose digest is unchanged keeps its bay structures.
-        expected_surviving = pre_structs & new_digests
-        assert expected_surviving, "untouched holes must have warm structures"
-        assert expected_surviving != pre_structs, "the victim hole is dirty"
-
         engine.rebind(new_abst)
         flush = engine.stats.last_flush
-        assert flush["scope"] == "scoped"
         assert flush["reason"] == "rebind"
-        assert flush["dirty_holes"] >= 1
-        assert set(engine._bay_struct_cache) == expected_surviving
-        assert flush["caches"]["bay_structs"]["survived"] == len(
-            expected_surviving
-        )
-        # Locate entries for nodes away from the dirty hole survive too.
-        assert flush["caches"]["locate"]["survived"] > 0
-        assert engine.stats.scoped_invalidations == 1
-        assert engine.stats.full_invalidations == 0
-        assert engine.stats.survival_rate("bay_structs") > 0.0
+        assert all(row["survived"] == 0 for row in flush["caches"].values())
+        assert flush["caches"]["locate"]["evicted"] > 0
+        assert not engine._locate_memo and not engine._routers
 
         # Zero route mismatches versus a from-scratch engine.
         cold = QueryEngine(new_abst, "hull", caching=False)
@@ -270,61 +248,35 @@ class TestScopedInvalidation:
             assert _same_outcome(cold.route(s, t), engine.route(s, t))
 
     def test_flush_counters_reconcile(self):
-        """survived + evicted of every cache equals its pre-flush size."""
+        """Every flush evicts exactly the pre-flush entries of each cache."""
         sc, graph, abst, engine, pairs = self._warm_multi_hole()
+        engine.optimal(*pairs[0])
         pre_sizes = {
             "locate": len(engine._locate_memo),
-            "bay_structs": len(engine._bay_struct_cache),
             "dijkstra": len(engine._dijkstra_lru),
         }
         victim = [h for h in abst.holes if not h.is_outer][0].boundary[0]
         engine.rebind(self._perturbed_rebuild(abst, victim))
         caches = engine.stats.last_flush["caches"]
+        assert set(caches) == set(pre_sizes)
         for name, size in pre_sizes.items():
-            row = caches[name]
-            assert row["survived"] + row["evicted"] == size, name
-
-    def test_scope_full_forces_whole_flush(self):
-        sc, graph, abst, engine, pairs = self._warm_multi_hole()
-        victim = [h for h in abst.holes if not h.is_outer][0].boundary[0]
-        engine.rebind(self._perturbed_rebuild(abst, victim), scope="full")
-        flush = engine.stats.last_flush
-        assert flush["scope"] == "full"
-        assert engine.stats.full_invalidations == 1
-        assert all(
-            row["survived"] == 0 for row in flush["caches"].values()
-        )
-        assert not engine._bay_struct_cache and not engine._locate_memo
-
-    def test_scoped_invalidation_off_restores_full_flush(self):
-        sc, graph, abst = _mk(seed=3, width=14.0, holes=3)
-        engine = QueryEngine(
-            abst, "hull", udg=graph.udg, scoped_invalidation=False
-        )
-        rng = np.random.default_rng(11)
-        engine.route_many(sample_pairs(sc.n, 10, rng))
-        victim = [h for h in abst.holes if not h.is_outer][0].boundary[0]
-        pts = abst.points.copy()
-        pts[victim] += 1e-3
-        engine.rebind(build_abstraction(build_ldel(pts)))
-        assert engine.stats.last_flush["scope"] == "full"
+            assert caches[name] == {"survived": 0, "evicted": size}, name
+        assert engine.stats.snapshot()["flush"] == caches
 
     def test_node_count_change_forces_full_flush(self):
         sc, graph, abst, engine, pairs = self._warm_multi_hole()
         pts = np.vstack([abst.points, abst.points[:1] + 0.3])
-        engine.rebind(build_abstraction(build_ldel(pts)))
-        assert engine.stats.last_flush["scope"] == "full"
-        assert engine.stats.full_invalidations == 1
+        new_abst = build_abstraction(build_ldel(pts))
+        engine.rebind(new_abst)
+        assert engine.stats.invalidations == 1
+        assert not engine._locate_memo
+        cold = QueryEngine(new_abst, "hull", caching=False)
+        rng = np.random.default_rng(12)
+        for s, t in sample_pairs(len(pts), 10, rng):
+            assert _same_outcome(cold.route(s, t), engine.route(s, t))
 
-    def test_invalid_rebind_scope_rejected(self):
-        _, graph, abst = _mk()
-        with pytest.raises(ValueError):
-            QueryEngine(abst, "hull", udg=graph.udg).rebind(
-                abst, scope="partial"
-            )
-
-    def test_inplace_mutation_takes_scoped_path(self):
-        """The per-query digest check also diffs per hole in place."""
+    def test_inplace_mutation_matches_cold(self):
+        """The per-query digest check flushes on an in-place move."""
         sc, graph, abst = _mk(seed=3, width=14.0, holes=3)
         engine = QueryEngine(abst, "hull", udg=graph.udg)
         rng = np.random.default_rng(11)
@@ -335,7 +287,7 @@ class TestScopedInvalidation:
         cold = HybridRouter(abst, "hull")
         for s, t in pairs[:8]:
             assert _same_outcome(cold.route(s, t), engine.route(s, t))
-        assert engine.stats.scoped_invalidations == 1
+        assert engine.stats.invalidations == 1
         assert engine.stats.last_flush["reason"] == "content_changed"
 
     def test_invalidate_trace_event_payload(self):
@@ -350,13 +302,13 @@ class TestScopedInvalidation:
         engine.rebind(build_abstraction(build_ldel(pts)))
         ev = [e for e in trace.events() if e.etype == "engine_invalidate"][-1]
         data = dict(ev.data)
-        assert data["scope"] == "scoped"
-        assert data["dirty_holes"] >= 1
-        assert data["survived"] + data["evicted"] > 0
+        assert set(data) == {"reason", "old_digest", "new_digest", "evicted"}
+        assert data["reason"] == "rebind"
+        assert data["evicted"] > 0
         assert data["old_digest"] != data["new_digest"]
 
     def test_rebind_incremental_bridge(self):
-        """A mobility step drives a scoped rebind through the §7 bridge."""
+        """A §7 incremental update's abstraction rebinds a warm engine."""
         from repro.protocols.incremental import run_incremental_update
         from repro.protocols.setup import run_distributed_setup
 
@@ -369,9 +321,8 @@ class TestScopedInvalidation:
         model = MobilityModel(sc, speed=0.03, seed=1)
         pts = model.step(0.2).copy()
         inc = run_incremental_update(setup, pts, tolerance=0.2, seed=7)
-        flush = engine.rebind_incremental(inc)
-        assert flush is engine.stats.last_flush
-        assert flush["scope"] == "scoped"
+        engine.rebind(inc.abstraction)
+        assert engine.stats.last_flush["reason"] == "rebind"
         assert engine.abstraction is inc.abstraction
         cold = QueryEngine(inc.abstraction, "hull", caching=False)
         for s, t in pairs:

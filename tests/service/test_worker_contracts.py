@@ -12,6 +12,7 @@ they ride along with:
 """
 
 import asyncio
+import json
 import time
 
 import pytest
@@ -330,6 +331,30 @@ class TestResponseFastPath:
                 await reg.close()
 
         asyncio.run(run())
+
+    def test_batch_routes_only_uncached_pairs(self, inst):
+        """A batch with one cached and one new pair costs one engine route,
+        and its bytes equal a fresh worker's answer to the whole batch."""
+        batch = [(0, 40), (1, 41)]
+
+        async def run(warm):
+            reg, instance = _registry(inst)
+            worker = instance.worker
+            try:
+                if warm:
+                    await worker.route(batch[:1])
+                queries = worker.engine.stats.queries
+                payloads = await worker.route(batch)
+                routed = worker.engine.stats.queries - queries
+                assert worker.stats.fast_path == 0  # not answered entirely
+                return json.dumps(payloads, sort_keys=True), routed
+            finally:
+                await reg.close()
+
+        warm_bytes, warm_routed = asyncio.run(run(warm=True))
+        cold_bytes, cold_routed = asyncio.run(run(warm=False))
+        assert (warm_routed, cold_routed) == (1, 2)
+        assert warm_bytes == cold_bytes
 
     def test_cacheless_engine_disables_fast_path(self, inst):
         async def run():

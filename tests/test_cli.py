@@ -367,7 +367,7 @@ class TestChurnServeCommand:
         args = build_parser().parse_args(["churn-serve"])
         assert args.command == "churn-serve"
         assert args.steps == 8 and args.queries == 32
-        assert not args.full_flush and not args.verify
+        assert not args.verify
 
     def test_churn_serve_runs(self, capsys):
         rc = main(["churn-serve", *self.SERVE_ARGS, "--verify"])
@@ -386,9 +386,8 @@ class TestChurnServeCommand:
         assert len(payload["rows"]) == 2
         assert "mean_serve_ms" in payload["summary"]
         assert "warm_query_p50_us" not in payload["summary"]
-
-    def test_full_flush_flag_disables_scoping(self, capsys):
-        rc = main(["churn-serve", *self.SERVE_ARGS, "--full-flush"])
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert "rebinds: 0 scoped" in out
+        assert "mean_survival_scoped" not in payload["summary"]
+        assert all(
+            "scope" not in row and "survival" not in row
+            for row in payload["rows"]
+        )

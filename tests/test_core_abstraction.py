@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from repro.core.abstraction import (
     Abstraction,
     Bay,
-    HoleAbstraction,
     build_abstraction,
     reference_dominating_set,
 )
@@ -143,82 +142,3 @@ class TestAbstraction:
                 assert bay.arc[0] == bay.corner_a
                 assert bay.arc[-1] == bay.corner_b
                 assert bay.corner_a in h.hull and bay.corner_b in h.hull
-
-
-class TestHoleContentDigest:
-    def _abst(self, seed=3):
-        from repro.graphs.ldel import build_ldel
-        from repro.scenarios import perturbed_grid_scenario
-
-        sc = perturbed_grid_scenario(
-            width=9, height=9, hole_count=1, hole_scale=2.0, seed=seed
-        )
-        return build_abstraction(build_ldel(sc.points))
-
-    def test_member_nodes_cover_structure(self):
-        abst = self._abst()
-        hole = next(h for h in abst.holes if not h.is_outer)
-        members = set(hole.member_nodes())
-        assert set(hole.boundary) <= members
-        assert set(hole.hull) <= members
-        for bay in hole.bays:
-            assert set(bay.arc) <= members
-            assert set(bay.dominating_set) <= members
-        assert hole.member_nodes() == sorted(members)
-
-    def test_digest_ignores_hole_id(self):
-        from dataclasses import replace
-
-        from repro.core.abstraction import hole_content_digest
-
-        abst = self._abst()
-        hole = abst.holes[0]
-        renumbered = HoleAbstraction(
-            hole_id=hole.hole_id + 17,
-            boundary=list(hole.boundary),
-            hull=list(hole.hull),
-            is_outer=hole.is_outer,
-            closing_edge=hole.closing_edge,
-            bays=hole.bays,
-        )
-        assert hole_content_digest(hole, abst.points) == hole_content_digest(
-            renumbered, abst.points
-        )
-
-    def test_digest_tracks_member_coordinates(self):
-        from repro.core.abstraction import hole_content_digest
-
-        abst = self._abst()
-        hole = next(h for h in abst.holes if not h.is_outer)
-        before = hole_content_digest(hole, abst.points)
-        pts = abst.points.copy()
-        pts[hole.boundary[0]] += 1e-9
-        assert hole_content_digest(hole, pts) != before
-
-    def test_digest_ignores_non_member_coordinates(self):
-        from repro.core.abstraction import hole_content_digest
-
-        abst = self._abst()
-        hole = next(h for h in abst.holes if not h.is_outer)
-        outsider = next(
-            i for i in range(len(abst.points))
-            if i not in set(hole.member_nodes())
-        )
-        before = hole_content_digest(hole, abst.points)
-        pts = abst.points.copy()
-        pts[outsider] += 0.5
-        assert hole_content_digest(hole, pts) == before
-
-    def test_hole_digests_align_with_holes(self):
-        abst = self._abst()
-        digests = abst.hole_digests()
-        assert len(digests) == len(abst.holes)
-        assert len(set(digests)) == len(digests)
-
-    def test_member_bbox_bounds_members(self):
-        abst = self._abst()
-        hole = next(h for h in abst.holes if not h.is_outer)
-        x0, y0, x1, y1 = hole.member_bbox(abst.points)
-        coords = abst.points[hole.member_nodes()]
-        assert x0 <= coords[:, 0].min() and coords[:, 0].max() <= x1
-        assert y0 <= coords[:, 1].min() and coords[:, 1].max() <= y1

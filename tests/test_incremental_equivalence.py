@@ -1,22 +1,21 @@
-"""Differential equivalence: incremental reuse and scoped serving vs scratch.
+"""Differential equivalence: incremental reuse and warm serving vs scratch.
 
-Two stacks exist for surviving a movement step: the §7 incremental
-protocol (reuses clean rings' artifacts) and the query engine's scoped
-cache invalidation (keeps clean holes' cache entries).  Both promise the
-same thing — *reuse never changes the result* — and this suite pins that
-promise differentially:
+Surviving a movement step has two sides: the §7 incremental protocol
+(reuses clean rings' artifacts) and a warm query engine rebound onto the
+new abstraction (flushes every cache).  Both promise the same thing —
+*the result equals a from-scratch one* — and this suite pins that promise
+differentially:
 
 * across seeds × mobility steps, an incremental update with zero drift
   tolerance produces exactly the holes (rings, hulls, bays, dominating
   sets) a from-scratch distributed setup derives on the same coordinates,
   and routes planned over the two abstractions are identical;
-* a warm scoped-rebind engine answers every query exactly like a cold,
-  cache-less engine on the final topology (0 mismatches);
+* a warm engine rebound after every step answers every query exactly like
+  a cold, cache-less engine on the final topology (0 mismatches);
 * (hypothesis) across random churn sequences — localized moves, joins,
   leaves, interleaved with query batches — the engine never serves a
   stale route, and its flush accounting reconciles exactly: per cache,
-  ``survived + evicted`` equals the pre-flush entry count, and the
-  reported dirty-hole count matches an independent per-hole digest diff.
+  ``evicted`` equals the pre-flush entry count.
 """
 
 import numpy as np
@@ -24,7 +23,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.abstraction import build_abstraction, hole_content_digest
+from repro.core.abstraction import build_abstraction
 from repro.graphs.ldel import build_ldel
 from repro.protocols.incremental import ring_signature, run_incremental_update
 from repro.protocols.setup import run_distributed_setup
@@ -107,8 +106,8 @@ def test_incremental_equals_scratch_rebuild(seed):
             assert _same_outcome(ra.route(s, t), rb.route(s, t))
 
 
-def test_scoped_engine_equals_cold_on_final_topology():
-    """Warm scoped-rebind serving vs a cold engine: 0 mismatches."""
+def test_warm_rebind_equals_cold_on_final_topology():
+    """Warm engine rebound after every move vs a cold engine: 0 mismatches."""
     sc = perturbed_grid_scenario(
         width=10, height=10, hole_count=2, hole_scale=2.0, seed=31
     )
@@ -122,13 +121,12 @@ def test_scoped_engine_equals_cold_on_final_topology():
         pts = mob.step(0.2).copy()
         new_abst = build_abstraction(build_ldel(pts))
         engine.rebind(new_abst)
-        assert engine.stats.last_flush["scope"] == "scoped"
         cold = QueryEngine(new_abst, "hull", caching=False)
         for s, t in sample_pairs(sc.n, 12, rng):
             if not _same_outcome(cold.route(s, t), engine.route(s, t)):
                 mismatches += 1
     assert mismatches == 0
-    assert engine.stats.scoped_invalidations == 4
+    assert engine.stats.invalidations == 4
 
 
 # -- hypothesis: random churn sequences ---------------------------------------
@@ -174,34 +172,18 @@ def test_churn_never_serves_stale_routes(events, seed):
 
         pre_sizes = {
             "locate": len(engine._locate_memo),
-            "bay_structs": len(engine._bay_struct_cache),
             "dijkstra": len(engine._dijkstra_lru),
         }
-        old_digests = set(engine.hole_digests.values())
 
         new_abst = build_abstraction(build_ldel(pts))
         engine.rebind(new_abst)
         flush = engine.stats.last_flush
 
-        # Counters reconcile exactly with the pre-flush cache contents.
+        # The flush evicts exactly the pre-flush cache contents.
         for name, size in pre_sizes.items():
-            row = flush["caches"][name]
-            assert row["survived"] + row["evicted"] == size, name
-
-        # The reported dirty set matches an independent per-hole diff.
-        new_digests = {
-            hole_content_digest(h, new_abst.points)
-            for h in new_abst.holes
-            if h.member_nodes()
-        }
-        if len(pts) != len(abst.points):
-            assert flush["scope"] == "full"
-        else:
-            assert flush["scope"] == "scoped"
-            assert flush["dirty_holes"] == len(new_digests - old_digests)
+            assert flush["caches"][name]["evicted"] == size, name
 
         # Never a stale answer: every query matches a cache-less engine.
         cold = QueryEngine(new_abst, "hull", caching=False)
         for s, t in sample_pairs(len(pts), 6, rng):
             assert _same_outcome(cold.route(s, t), engine.route(s, t))
-        abst = new_abst
