@@ -6,6 +6,10 @@ movement steps interleaved with node joins and leaves.  After every event
 the abstraction is rebuilt from scratch and the engine rebinds, flushing
 every cache.
 
+The seed-7 schedule of 10 events draws one join (step 2) and one leave
+(step 9) among the moves, so the run also rebuilds and rebinds across a
+node-count change; the bench asserts both kinds appear.
+
 Reported per step: recompute latency (abstraction rebuild + engine
 rebind), the serve time of the step's batch right after the rebind, and
 query availability.  The run is differentially verified against a
@@ -21,11 +25,11 @@ PARAMS = dict(
     hole_count=2,
     hole_scale=2.0,
     seed=7,
-    steps=8,
+    steps=10,
     queries_per_step=32,
     speed=0.04,
-    p_join=0.1,
-    p_leave=0.1,
+    p_join=0.15,
+    p_leave=0.15,
     move_fraction=0.15,
 )
 
@@ -43,6 +47,10 @@ def test_e15_churn_serving(benchmark, report):
         ],
         title="E15: serving under churn — per step",
     )
+
+    # The workload rebuilds across node-count changes, not only moves.
+    kinds = {row["event"] for row in res["rows"]}
+    assert {"join", "leave"} <= kinds
 
     s = res["summary"]
     # Determinism contract under churn: a warm engine never serves a

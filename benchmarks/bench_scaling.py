@@ -6,23 +6,31 @@ measures the vectorized LDel² build (:func:`repro.graphs.ldel.build_ldel` —
 grid candidate join, wedge-join triangle enumeration, batched circumcircle
 witness pruning), the brute-force oracle build
 (:func:`~repro.graphs.ldel.build_ldel_reference`, capped at the size where
-its quadratic cost stays affordable), and the per-query routing latency of
-the hull router on the built abstraction.
+its quadratic cost stays affordable), the array hole extraction
+(:func:`repro.graphs.faces.find_holes`) against its per-face oracle
+(:func:`~repro.graphs.faces.find_holes_reference`, same cap), the whole
+abstraction build (:func:`repro.core.abstraction.build_abstraction`, hole
+extraction included), and the per-query routing latency of the hull router
+on the built abstraction.
 
-Asserted contract: the fast path beats the reference by ≥10× at the largest
-size both run, and the 10⁵-node build completes inside the wall-clock
-budget — the "seconds, not hours" bar the vectorization exists for.
+Asserted contract: both fast paths equal their oracles at every size both
+run, the fast LDel build beats its reference by ≥10× and ``find_holes``
+beats its reference by ≥4× at the largest such size, and the 10⁵-node
+build completes inside the wall-clock budget — the "seconds, not hours"
+bar the vectorization exists for.
 
 ``BENCH_SCALING_MAX_N`` trims the grid (CI runs ≤10⁴ to keep the
 non-blocking job short; the committed artifact comes from a full local run).
 """
 
+import gc
 import math
 import os
 import time
 
 from conftest import run_once
 from repro.core.abstraction import build_abstraction
+from repro.graphs.faces import find_holes, find_holes_reference
 from repro.graphs.ldel import build_ldel, build_ldel_reference
 from repro.graphs.udg import edge_count
 from repro.routing import hull_router, sample_pairs
@@ -59,6 +67,21 @@ def _max_n() -> int:
 _cache: dict = {}
 
 
+def _timed(fn, *args):
+    """``(fn(*args), seconds)``, with the garbage of earlier stages collected
+    first so that no stage pays for another's collector pass."""
+    gc.collect()
+    t0 = time.perf_counter()
+    out = fn(*args)
+    return out, time.perf_counter() - t0
+
+
+def _hole_rows(hs):
+    return hs.outer_face, [
+        (h.hole_id, h.boundary, h.is_outer, h.closing_edge) for h in hs.holes
+    ]
+
+
 def _results():
     if "rows" in _cache:
         return _cache["rows"]
@@ -72,21 +95,20 @@ def _results():
             hole_scale=2.2, seed=13,
         )
 
-        t0 = time.perf_counter()
-        graph = build_ldel(sc.points)
-        fast_s = time.perf_counter() - t0
+        graph, fast_s = _timed(build_ldel, sc.points)
+        holes, holes_s = _timed(find_holes, graph)
 
-        ref_s = None
+        ref_s = holes_ref_s = None
         if sc.n <= REF_MAX_N:
-            t0 = time.perf_counter()
-            ref = build_ldel_reference(sc.points)
-            ref_s = time.perf_counter() - t0
-            # The speed comparison is only meaningful if both paths built
-            # the same graph.
+            # The speed comparisons are only meaningful if both paths built
+            # the same graph and the same holes.
+            ref, ref_s = _timed(build_ldel_reference, sc.points)
             assert ref.adjacency == graph.adjacency
             assert ref.triangles == graph.triangles
+            holes_ref, holes_ref_s = _timed(find_holes_reference, graph)
+            assert _hole_rows(holes) == _hole_rows(holes_ref)
 
-        abst = build_abstraction(graph)
+        abst, abstraction_s = _timed(build_abstraction, graph)
         router = hull_router(abst)
         rng = np.random.default_rng(2)
         pairs = sample_pairs(sc.n, ROUTE_QUERIES, rng)
@@ -101,6 +123,14 @@ def _results():
                 "build_fast_s": round(fast_s, 3),
                 "build_ref_s": round(ref_s, 3) if ref_s is not None else None,
                 "speedup": round(ref_s / fast_s, 1) if ref_s is not None else None,
+                "find_holes_s": round(holes_s, 3),
+                "find_holes_ref_s": (
+                    round(holes_ref_s, 3) if holes_ref_s is not None else None
+                ),
+                "holes_speedup": (
+                    round(holes_ref_s / holes_s, 1) if holes_ref_s is not None else None
+                ),
+                "build_abstraction_s": round(abstraction_s, 3),
                 "route_ms": round(route_ms, 2),
                 "routed": f"{reached}/{len(pairs)}",
             }
@@ -127,6 +157,7 @@ def test_e16_scaling(benchmark, report):
     common = [r for r in rows if r["speedup"] is not None]
     assert common, "no size ran both fast and reference builds"
     assert common[-1]["speedup"] >= 10.0
+    assert common[-1]["holes_speedup"] >= 4.0
 
     # The largest requested build lands inside the wall-clock budget.
     largest = rows[-1]

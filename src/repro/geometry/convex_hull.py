@@ -52,25 +52,29 @@ def convex_hull_indices(points: Sequence[Sequence[float]]) -> list[int]:
             return [0]
         return [int(order[0]), int(order[1])]
 
+    # Python floats: the same IEEE double arithmetic as numpy scalars,
+    # without the per-element boxing cost.
+    xy = pts.tolist()
+
     def cross(o, a, b) -> float:
         # Exact float cross product: the hull must NOT use the tolerant
         # orientation predicate, which can discard extreme points of
         # nearly-collinear chains whose span exceeds the tolerance.
         return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
-    def build(indices: np.ndarray) -> list[int]:
+    def build(indices: list[int]) -> list[int]:
         chain: list[int] = []
         for idx in indices:
             while (
                 len(chain) >= 2
-                and cross(pts[chain[-2]], pts[chain[-1]], pts[idx]) <= 0.0  # repro: noqa[RPR003] documented exact arithmetic: the tolerant predicate can discard extreme points of nearly-collinear chains
+                and cross(xy[chain[-2]], xy[chain[-1]], xy[idx]) <= 0.0  # repro: noqa[RPR003] documented exact arithmetic: the tolerant predicate can discard extreme points of nearly-collinear chains
             ):
                 chain.pop()
-            chain.append(int(idx))
+            chain.append(idx)
         return chain
 
-    lower = build(order)
-    upper = build(order[::-1])
+    lower = build(order.tolist())
+    upper = build(order[::-1].tolist())
     hull = lower[:-1] + upper[:-1]
     if len(hull) < 3:
         # All points collinear: return the two extremes.

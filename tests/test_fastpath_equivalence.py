@@ -2,7 +2,7 @@
 
 The vectorized/grid-accelerated builders (``unit_disk_graph``, ``build_ldel``,
 ``delaunay_triangulation``, the pruned visibility tests, walking point
-location) are required to agree with their kept-verbatim brute-force oracles
+location, the array face walk and hole extraction) are required to agree with their kept-verbatim brute-force oracles
 *exactly* — zero-tolerance set equality, not approximate agreement.  The
 fast paths use term-identical floating-point arithmetic and the same EPS
 bands as the oracles, so any mismatch is a bug, including on adversarial
@@ -15,6 +15,8 @@ path relies on.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.geometry.delaunay import (
     PointLocator,
@@ -31,6 +33,16 @@ from repro.geometry.visibility import (
     visible_mask,
     visible_mask_reference,
 )
+from repro.geometry.convex_hull import convex_hull_indices
+from repro.graphs.faces import (
+    angular_embedding,
+    angular_embedding_reference,
+    enumerate_faces,
+    enumerate_faces_reference,
+    find_holes,
+    find_holes_reference,
+    walk_signed_area,
+)
 from repro.graphs.ldel import (
     build_ldel,
     build_ldel_reference,
@@ -43,6 +55,7 @@ from repro.graphs.udg import (
     unit_disk_graph,
     unit_disk_graph_reference,
 )
+from repro.scenarios import perturbed_grid_scenario
 
 
 def _uniform(seed: int, n: int, scale: float) -> np.ndarray:
@@ -283,3 +296,128 @@ class TestVisibilityEquivalence:
             for sid, (ax, ay, bx, by) in enumerate(segs):
                 if segments_properly_intersect(p, q, (ax, ay), (bx, by)):
                     assert sid in cand
+
+
+# -- faces and holes ----------------------------------------------------------
+
+
+def _e1() -> np.ndarray:
+    # The E1 instance (n=449, two holes) the served-routing benchmark uses.
+    return perturbed_grid_scenario(
+        width=12.0, height=12.0, hole_count=2, hole_scale=2.0, seed=1
+    ).points
+
+
+def _hexagon() -> np.ndarray:
+    # Every convex-hull edge is an ad hoc edge: no outer hole is closed.
+    theta = np.linspace(0.0, 2.0 * np.pi, 7)[:-1]
+    ring = np.stack([np.cos(theta), np.sin(theta)], axis=1) * 0.9
+    return np.concatenate([[[0.0, 0.0]], ring])
+
+
+def _twin_components(offset: tuple[float, float]) -> np.ndarray:
+    # Two congruent, disconnected components: their outer walks tie on
+    # area — exactly for a dyadic offset, to within rounding otherwise.
+    base = np.random.default_rng(8).integers(0, 24, size=(30, 2)) / 8.0
+    base = np.unique(base, axis=0)
+    return np.concatenate([base, base + np.asarray(offset)])
+
+
+def _collinear_line() -> np.ndarray:
+    # A two-point hull whose one edge is added twice: the repeated-dart case.
+    return np.array([[0.5 * i, 0.0] for i in range(6)])
+
+
+FACE_FIXTURES = FIXTURES + [
+    pytest.param(_e1, id="e1-449"),
+    pytest.param(_hexagon, id="no-added-hull-edge"),
+    pytest.param(lambda: _twin_components((8.0, 0.0)), id="twins-exact"),
+    # An offset at which the one-pass sums and np.dot (numpy 2.4, x86-64)
+    # order the two outer walks differently, so only re-scoring agrees.
+    pytest.param(lambda: _twin_components((7.393, -19.339)), id="twins-rounded"),
+    pytest.param(_collinear_line, id="collinear-line"),
+    pytest.param(lambda: np.empty((0, 2)), id="empty"),
+    pytest.param(lambda: np.array([[0.5, 0.5]]), id="one-node"),
+]
+
+
+def assert_same_holes(fast, ref) -> None:
+    """Zero-tolerance HoleSet equality: ids, walks (start vertex included),
+    outer flags, closing edges and the outer face walk."""
+    assert fast.outer_face == ref.outer_face
+    assert [
+        (h.hole_id, h.boundary, h.is_outer, h.closing_edge) for h in fast.holes
+    ] == [(h.hole_id, h.boundary, h.is_outer, h.closing_edge) for h in ref.holes]
+
+
+@pytest.mark.parametrize("fixture", FACE_FIXTURES)
+class TestFaceEquivalence:
+    def test_embedding_identical(self, fixture):
+        graph = build_ldel(fixture())
+        assert angular_embedding(graph.points, graph.adjacency) == (
+            angular_embedding_reference(graph.points, graph.adjacency)
+        )
+
+    def test_faces_identical(self, fixture):
+        graph = build_ldel(fixture())
+        assert enumerate_faces(graph.points, graph.adjacency) == (
+            enumerate_faces_reference(graph.points, graph.adjacency)
+        )
+
+    def test_holes_identical(self, fixture):
+        graph = build_ldel(fixture())
+        assert_same_holes(find_holes(graph), find_holes_reference(graph))
+
+
+def test_hexagon_adds_no_hull_edge():
+    # The precondition the "no-added-hull-edge" fixture stands for.
+    graph = build_ldel(_hexagon())
+    hull = convex_hull_indices(graph.points)
+    assert all(graph.has_edge(a, b) for a, b in zip(hull, hull[1:] + hull[:1]))
+    assert not any(h.is_outer for h in find_holes(graph).holes)
+
+
+def test_twin_outer_walks_tie():
+    # The exact twins really tie: the reference's argmin takes the first.
+    graph = build_ldel(_twin_components((8.0, 0.0)))
+    areas = sorted(
+        walk_signed_area(graph.points, w)
+        for w in enumerate_faces_reference(graph.points, graph.adjacency)
+    )
+    assert areas[0] == areas[1] < 0.0
+
+
+def _collinear_fan(seed: int, k: int = 60) -> tuple[np.ndarray, dict]:
+    # A star whose leaves come in same-ray pairs: their angles tie or differ
+    # by an ulp, where vectorized arctan2 and math.atan2 can disagree.
+    rng = np.random.default_rng(seed)
+    theta = rng.uniform(-np.pi, np.pi, k)
+    radii = rng.uniform(0.3, 1.0, (2, k))
+    rays = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    pts = np.concatenate([[[0.0, 0.0]], radii[0][:, None] * rays, radii[1][:, None] * rays])
+    adj = {0: list(range(1, 2 * k + 1))}
+    adj.update({v: [0] for v in range(1, 2 * k + 1)})
+    return pts, adj
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_embedding_near_tied_angles(seed):
+    pts, adj = _collinear_fan(seed)
+    assert angular_embedding(pts, adj) == angular_embedding_reference(pts, adj)
+    assert enumerate_faces(pts, adj) == enumerate_faces_reference(pts, adj)
+
+
+_coord = st.one_of(
+    st.integers(0, 16).map(lambda k: k * 0.25),
+    st.floats(0.0, 4.0, allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(_coord, _coord), min_size=0, max_size=40, unique=True))
+def test_holes_identical_random_point_sets(raw):
+    graph = build_ldel(np.array(raw, dtype=float).reshape(-1, 2))
+    assert enumerate_faces(graph.points, graph.adjacency) == (
+        enumerate_faces_reference(graph.points, graph.adjacency)
+    )
+    assert_same_holes(find_holes(graph), find_holes_reference(graph))

@@ -85,12 +85,13 @@ def huge_instance():
 class TestScaleSlow:
     """10⁴-node smoke tier for the vectorized construction paths.
 
-    Deselected by default CI test jobs (``-m 'not slow'`` keeps the fast
-    suite fast); the bench-scaling job and local runs exercise it.  The
-    reference oracles are quadratic-ish at this size, so correctness against
-    them is checked on a seeded subsample rather than the full instance —
-    the full-instance equivalence lives in ``tests/test_fastpath_equivalence``
-    at sizes where the oracle is affordable.
+    Part of the tier-1 run: nothing in CI passes ``-m 'not slow'``; the
+    marker only lets a local run deselect the tier.  The LDel reference
+    oracle is quadratic-ish at this size, so its correctness is checked on
+    a seeded subsample rather than the full instance — the full-instance
+    equivalence lives in ``tests/test_fastpath_equivalence`` at sizes where
+    that oracle is affordable.  The hole-extraction oracle (~2 s here) is
+    compared on the full instance.
     """
 
     def test_size_at_least_ten_thousand(self, huge_instance):
@@ -130,3 +131,14 @@ class TestScaleSlow:
         assert fast.adjacency == ref.adjacency
         assert fast.triangles == ref.triangles
         assert fast.gabriel == ref.gabriel
+
+    def test_find_holes_matches_reference(self, huge_instance):
+        from repro.graphs.faces import find_holes, find_holes_reference
+
+        _, graph, _ = huge_instance
+        fast = find_holes(graph)
+        ref = find_holes_reference(graph)
+        assert fast.outer_face == ref.outer_face
+        assert [
+            (h.hole_id, h.boundary, h.is_outer, h.closing_edge) for h in fast.holes
+        ] == [(h.hole_id, h.boundary, h.is_outer, h.closing_edge) for h in ref.holes]
