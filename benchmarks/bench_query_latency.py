@@ -12,15 +12,10 @@ Two parts:
   two runs (the engine's determinism contract), and the warm serve must be
   at least ``QUERY_SMOKE_MIN_SPEEDUP``× faster (default 2×; CI smoke knob —
   locally the measured speedup is well above the 5× acceptance bar).
-
-The workload run writes its numbers to ``bench-artifacts/query_latency.json``
-so the CI smoke job can upload them.
 """
 
-import json
 import os
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -151,15 +146,11 @@ def test_e14_cold_vs_warm_workload(benchmark, report):
                 "cold_ms_per_pair": round(res["cold_ms_per_pair"], 2),
                 "warm_ms_per_pair": round(res["warm_ms_per_pair"], 2),
                 "locate_hit_rate": round(res["locate_hit_rate"], 3),
+                "path_mismatches": res["path_mismatches"],
             }
         ],
         title="E14b: query-engine amortization — cold (caching off) vs warm",
     )
-
-    artifact_dir = Path("bench-artifacts")
-    artifact_dir.mkdir(exist_ok=True)
-    with open(artifact_dir / "query_latency.json", "w") as fh:
-        json.dump(res, fh, indent=2, sort_keys=True)
 
     # Determinism contract: caching never changes a route.
     assert res["path_mismatches"] == 0

@@ -63,23 +63,25 @@ class ChurnStep:
 
 
 class ChurnRebinder:
-    """Deterministic per-step rebuilds for rebinding a *live* service (E18).
+    """Deterministic per-step rebuilds for rebinding a *live* service.
 
-    :func:`run_churn_serving` owns its engine and measures in-process;
-    this class factors out just the churn side — apply one
-    :class:`~repro.scenarios.mobility.ChurnEvent` per step, rebuild the
-    abstraction, hand it to the caller — so the serving tier can execute
-    the rebind wherever the engines actually live: a single-process
-    :class:`~repro.service.registry.InstanceRegistry` or every worker of
-    a :class:`~repro.service.supervisor.ServiceSupervisor` process group,
-    all while query traffic keeps flowing.
+    Applies one :class:`~repro.scenarios.mobility.ChurnEvent` per step,
+    rebuilds the abstraction and hands it to the caller, so the rebind
+    runs wherever the engines actually live: an in-process engine
+    (:func:`run_churn_serving`, E15), a single-process
+    :class:`~repro.service.registry.InstanceRegistry`, or every worker of
+    a :class:`~repro.service.supervisor.ServiceSupervisor` process group
+    while query traffic keeps flowing (the repository benchmark's
+    ``churn-450`` workload and the tier-1 churn-under-traffic test in
+    ``tests/service/test_multiproc.py``).
 
     The schedule is fully deterministic given ``seed`` (or an explicit
     ``events`` list), so a baseline service and an N-worker service fed
     the same ``ChurnRebinder`` parameters see byte-for-byte the same
-    sequence of topologies — the property E18's differential check rests
-    on.  The defaults are movement-only (``p_join = p_leave = 0``): node
-    count then stays fixed, so client pair pools stay valid across steps.
+    sequence of topologies — the property every served differential
+    check rests on.  The defaults are movement-only (``p_join = p_leave =
+    0``): node count then stays fixed, so client pair pools stay valid
+    across steps.
     """
 
     def __init__(
@@ -171,18 +173,16 @@ def run_churn_serving(
         hole_scale=hole_scale,
         seed=seed,
     )
-    model = MobilityModel(sc, speed=speed, seed=seed + 1)
-    schedule = (
-        list(events)
-        if events is not None
-        else churn_schedule(
-            steps,
-            seed=seed + 2,
-            p_join=p_join,
-            p_leave=p_leave,
-            batch=batch,
-            move_fraction=move_fraction,
-        )
+    rebinder = ChurnRebinder(
+        sc,
+        speed=speed,
+        seed=seed,
+        steps=steps,
+        p_join=p_join,
+        p_leave=p_leave,
+        batch=batch,
+        move_fraction=move_fraction,
+        events=events,
     )
     query_rng = np.random.default_rng(seed + 3)
 
@@ -193,12 +193,8 @@ def run_churn_serving(
     engine.route_many(sample_pairs(sc.n, queries_per_step, query_rng))
 
     rows: list[dict[str, Any]] = []
-    for step, event in enumerate(schedule, start=1):
-        pts = model.apply(event).copy()
-
-        t0 = time.perf_counter()
-        new_abst = build_abstraction(build_ldel(pts))
-        rebuild_s = time.perf_counter() - t0
+    for churn in rebinder.steps():
+        step, new_abst, n = churn.step, churn.abstraction, churn.n
         t0 = time.perf_counter()
         engine.rebind(new_abst)
         rebind_s = time.perf_counter() - t0
@@ -206,7 +202,6 @@ def run_churn_serving(
         flush = engine.stats.last_flush or {}
         evicted = sum(c["evicted"] for c in flush.get("caches", {}).values())
 
-        n = len(pts)
         pairs = sample_pairs(n, queries_per_step, query_rng)
         t0 = time.perf_counter()
         outcomes = engine.route_many(pairs)
@@ -224,17 +219,17 @@ def run_churn_serving(
             trace.emit(
                 "churn_step",
                 step=step,
-                event=event.kind,
+                event=churn.event,
                 n=n,
                 evicted=evicted,
                 availability=availability,
             )
         row: dict[str, Any] = {
             "step": step,
-            "event": event.kind,
+            "event": churn.event,
             "n": n,
             "holes": len([h for h in new_abst.holes if not h.is_outer]),
-            "rebuild_ms": rebuild_s * 1e3,
+            "rebuild_ms": churn.rebuild_ms,
             "rebind_ms": rebind_s * 1e3,
             "serve_ms": serve_s * 1e3,
             "availability": availability,

@@ -271,13 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="pair budget for one coalesced route_many call",
     )
     p_serve.add_argument(
-        "--batch-window-ms",
-        type=float,
-        default=0.0,
-        help="wait this long after the first queued request before "
-        "draining, so sparse bursts coalesce (0 = no added latency)",
-    )
-    p_serve.add_argument(
         "--no-cache",
         action="store_true",
         help="serve with the query engine's caches disabled",
@@ -835,7 +828,6 @@ def cmd_serve(args) -> int:
     registry = InstanceRegistry(
         caching=not args.no_cache,
         max_batch=args.max_batch,
-        batch_window=args.batch_window_ms / 1000.0,
         queue_limit=args.queue_limit,
     )
     service = RoutingService(registry, max_requests=args.max_requests)
@@ -886,7 +878,6 @@ def _serve_multiproc(args, params: dict) -> int:
         port=args.port,
         caching=not args.no_cache,
         max_batch=args.max_batch,
-        batch_window=args.batch_window_ms / 1000.0,
         queue_limit=args.queue_limit,
         warm_nodes=args.warm_nodes,
     )

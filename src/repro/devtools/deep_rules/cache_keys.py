@@ -24,8 +24,8 @@ cover.  A root is *covered* when any of these hold:
   for the cache's lifetime);
 * it is a ``self`` attribute whose every mutating method also flushes
   this cache (directly, via a callee, or because every intra-class
-  caller of the mutator does) — the ``_invalidate``/``_flush_*``
-  structure the engine uses;
+  caller of the mutator does) — the flush inside the engine's
+  ``rebind``;
 * it is guarded on the hit path: the function compares the root against
   an attribute of the cache-hit value (the registry's
   ``existing.mode != mode`` pattern).

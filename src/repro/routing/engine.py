@@ -1,11 +1,11 @@
 """Batched multi-query routing engine with memoized abstraction state.
 
-:class:`HybridRouter` answers one query well but rebuilds nothing across
-queries is amortized: every evaluation run (benchmarks E1/E7, the CLI, the
-protocol runners) re-derives bay classifications, re-filters bay visibility
-legs, and re-runs the optimal-distance Dijkstra from scratch for each
-strategy.  :class:`QueryEngine` is the query-serving layer on top of the
-router that owns all reusable state:
+:class:`HybridRouter` answers one query well, but on its own nothing is
+amortized across queries: every evaluation run (benchmarks E1/E7, the CLI,
+the protocol runners) would re-derive bay classifications and re-run the
+optimal-distance Dijkstra from scratch for each strategy.
+:class:`QueryEngine` is the query-serving layer on top of the router that
+owns all reusable state:
 
 * **routers** — one memoized :class:`HybridRouter` per mode, each asking
   the locate memo below for its bay classifications;
@@ -18,11 +18,11 @@ The engine keeps no cache of completed routes: ``route_many`` collapses
 duplicate pairs within a batch, and the service worker's payload LRU
 (:mod:`repro.service.batching`) answers repeats across requests.
 
-Every cache is valid for exactly one bind.  Every query entry point
-re-hashes the abstraction and, when it changed (mobility scenarios mutate
-coordinates in place), flushes every cache; ``rebind`` covers wholesale
-abstraction swaps the same way.  Keeping unchanged holes' entries across
-a rebind does not make the next batch faster, so nothing is kept (see
+Every cache is valid for exactly one bind.  The engine never re-checks
+the abstraction it is bound to: a topology change (mobility, churn, an
+incremental update) goes through :meth:`QueryEngine.rebind`, which
+flushes every cache.  Keeping unchanged holes' entries across a rebind
+does not make the next batch faster, so nothing is kept (see
 ``docs/dynamic_serving.md``).
 
 **Determinism contract.**  Cached answers are the *same objects* a cold
@@ -79,10 +79,10 @@ DIJKSTRA_CACHE_SIZE = 64
 def abstraction_digest(abstraction: Abstraction) -> str:
     """Content digest of everything routing behaviour depends on.
 
-    Covers the node coordinates (mobility mutates these in place) and the
-    per-hole structure (boundary ring, hull, outer flag).  Two abstractions
-    with equal digests produce identical routes for every query, so the
-    digest is the invalidation key for every engine cache.
+    Covers the node coordinates and the per-hole structure (boundary
+    ring, hull, outer flag).  Two abstractions with equal digests produce
+    identical routes for every query, so the digest names the state an
+    engine's caches are valid for, and the service keys instances by it.
     """
     h = hashlib.sha1()
     pts = np.ascontiguousarray(abstraction.points, dtype=float)
@@ -187,6 +187,11 @@ class EngineStats:
 class QueryEngine:
     """Multi-query routing facade over one hole abstraction.
 
+    The bound abstraction is treated as immutable: the engine does not
+    notice its coordinates or holes changing underneath it.  Every change
+    goes through :meth:`rebind` (after an in-place edit, rebind onto the
+    edited object), which flushes every cache.
+
     Parameters
     ----------
     abstraction:
@@ -248,12 +253,6 @@ class QueryEngine:
             self.metrics.record_cache_event(cache, hit)
 
     # -- invalidation --------------------------------------------------------
-    def _check_current(self) -> None:
-        """Invalidate when the abstraction content changed in place."""
-        digest = abstraction_digest(self.abstraction)
-        if digest != self._digest:
-            self._invalidate("content_changed", self.abstraction, self.udg)
-
     def rebind(
         self, abstraction: Abstraction, *, udg: Adjacency | None = None
     ) -> None:
@@ -262,17 +261,10 @@ class QueryEngine:
         Flushes every cache.  ``udg`` optionally carries the true
         unit-disk adjacency of the new placement (for ``optimal()``
         ground-truth shortest paths); when omitted the abstraction's own
-        graph adjacency is used, matching the original behaviour.
+        graph adjacency is used, matching the original behaviour.  This
+        is also the way to serve an abstraction whose coordinates were
+        changed in place: mutate, then rebind onto the same object.
         """
-        self._invalidate(
-            "rebind",
-            abstraction,
-            abstraction.graph.adjacency if udg is None else udg,
-        )
-
-    def _invalidate(
-        self, reason: str, new_abstraction: Abstraction, new_udg: Adjacency
-    ) -> None:
         old_digest = self._digest
         detail = {
             "locate": {"survived": 0, "evicted": len(self._locate_memo)},
@@ -284,14 +276,14 @@ class QueryEngine:
         self.stats.invalidations += 1
         for cache, row in detail.items():
             self.stats.record_flush(cache, row["survived"], row["evicted"])
-        self.abstraction = new_abstraction
-        self.udg = new_udg
-        self._digest = abstraction_digest(new_abstraction)
-        self.stats.last_flush = {"reason": reason, "caches": detail}
+        self.abstraction = abstraction
+        self.udg = abstraction.graph.adjacency if udg is None else udg
+        self._digest = abstraction_digest(abstraction)
+        self.stats.last_flush = {"reason": "rebind", "caches": detail}
         if self.caching and self.trace is not None:
             self.trace.emit(
                 "engine_invalidate",
-                reason=reason,
+                reason="rebind",
                 old_digest=old_digest,
                 new_digest=self._digest,
                 evicted=sum(r["evicted"] for r in detail.values()),
@@ -336,7 +328,6 @@ class QueryEngine:
     def route(self, s: int, t: int, mode: str | None = None) -> RouteOutcome:
         """Route one query, re-using every applicable cache."""
         mode = self.mode if mode is None else mode
-        self._check_current()
         if not self.caching:
             return self._router(mode).route(s, t)
         outcome = self._router(mode).route(int(s), int(t))
@@ -379,7 +370,6 @@ class QueryEngine:
         telemetry, mirroring the route path's determinism contract.
         """
         node = int(node)
-        self._check_current()
         if not self.caching:
             return locate_node(self.abstraction, node)
         return self._locate(node)
@@ -403,7 +393,6 @@ class QueryEngine:
         against this engine.  Treat the returned dict as read-only.
         """
         source = int(source)
-        self._check_current()
         if self.caching and source in self._dijkstra_lru:
             self._record("dijkstra", True)
             self._dijkstra_lru.move_to_end(source)

@@ -50,9 +50,8 @@ def churn_schedule(
 
     Each step is independently a ``leave`` (probability ``p_leave``), a
     ``join`` (``p_join``) or a mobility ``move`` of a random
-    ``move_fraction`` of the nodes (the rest stand still — localized
-    movement is what lets a scoped serving layer keep distant holes warm);
-    join and leave events affect ``batch`` nodes.  Same seed, same schedule
+    ``move_fraction`` of the nodes (the rest stand still, so most holes
+    keep their shape from one step to the next); join and leave events affect ``batch`` nodes.  Same seed, same schedule
     — the differential suites replay one schedule against two serving
     stacks.
     """
@@ -159,9 +158,10 @@ class MobilityModel:
     def apply(self, event: ChurnEvent) -> np.ndarray:
         """Apply one :class:`ChurnEvent`; returns the new positions.
 
-        ``move`` keeps the node id space (the engine can rebind scoped);
+        ``move`` keeps the node id space, so client pair pools stay valid;
         ``join``/``leave`` re-densify ids, so callers must treat the result
-        as a fresh instance (the engine falls back to a full flush).
+        as a fresh instance.  Either way the caller rebuilds the
+        abstraction and rebinds its engine, which flushes every cache.
         """
         if event.kind == "move":
             return self.step(event.fraction)

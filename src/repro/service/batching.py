@@ -14,11 +14,9 @@ in the queue.  When the worker comes back around it drains everything
 waiting (up to ``max_batch`` pairs) and coalesces adjacent same-mode
 route requests into a single :meth:`QueryEngine.route_many` call, which
 sorts distinct pairs and routes each duplicate once — the batching the
-engine was built for.  An optional ``batch_window`` adds a
-bounded wait after the first dequeue so bursty-but-sparse arrivals can
-coalesce too; the wait ends **early** the moment the ``max_batch`` pair
-budget is filled (a saturated queue must never buy extra latency), and
-the default (0) never delays a lone request.
+engine was built for.  The worker never waits for more work to arrive:
+a lone request is served at once, and coalescing comes only from the
+backlog that built up behind the previous call.
 
 **Admission control.**  ``max_queue_depth`` bounds how many requests may
 wait in front of the engine.  A submission beyond the bound is refused
@@ -177,10 +175,6 @@ class EngineWorker:
     max_batch:
         Pair budget for one coalesced ``route_many`` call; requests
         beyond it wait for the next drain.
-    batch_window:
-        Seconds to wait after the first dequeue before draining, letting
-        sparse bursts coalesce (0 = drain only what already queued).  The
-        wait ends early once ``max_batch`` pairs are queued.
     max_queue_depth:
         Admission bound on requests waiting in the queue; ``None`` (the
         default) admits everything.  Submissions beyond the bound raise
@@ -193,13 +187,11 @@ class EngineWorker:
         *,
         metrics: MetricsCollector | None = None,
         max_batch: int = 512,
-        batch_window: float = 0.0,
         max_queue_depth: int | None = None,
     ) -> None:
         self.engine = engine
         self.metrics = metrics
         self.max_batch = max(1, int(max_batch))
-        self.batch_window = max(0.0, float(batch_window))
         self.max_queue_depth = (
             None if max_queue_depth is None else max(1, int(max_queue_depth))
         )
@@ -377,11 +369,8 @@ class EngineWorker:
                 if item is _STOP:
                     return
                 batch: list[_Request] = [item]
-                budget = sum(len(r.pairs) for r in batch) or 1
+                budget = len(item.pairs) or 1
                 stop_after = False
-                if self.batch_window > 0.0 and budget < self.max_batch:
-                    stop_after = await self._window_fill(batch)
-                    budget = sum(len(r.pairs) or 1 for r in batch)
                 while not stop_after and budget < self.max_batch:
                     try:
                         extra = self._queue.get_nowait()
@@ -400,27 +389,6 @@ class EngineWorker:
             # bug in the batching logic — nothing queued may be left with
             # a pending future.
             self._drain_failed()
-
-    async def _window_fill(self, batch: list[_Request]) -> bool:
-        """Wait out ``batch_window``, returning early once the pair budget
-        fills — a saturated queue must not pay the window as latency.
-        Returns True when the stop sentinel was drained."""
-        loop = asyncio.get_running_loop()
-        deadline = loop.time() + self.batch_window
-        budget = sum(len(r.pairs) or 1 for r in batch)
-        while budget < self.max_batch:
-            remaining = deadline - loop.time()
-            if remaining <= 0.0:
-                break
-            try:
-                extra = await asyncio.wait_for(self._queue.get(), remaining)
-            except asyncio.TimeoutError:
-                break
-            if extra is _STOP:
-                return True
-            batch.append(extra)
-            budget += len(extra.pairs) or 1
-        return False
 
     async def _execute(self, batch: list[_Request]) -> None:
         """Run one drained batch: coalesce route runs, serialize the rest."""

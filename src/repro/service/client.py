@@ -1,11 +1,11 @@
 """Minimal asyncio JSON/HTTP client for the routing service.
 
-The container ships no HTTP client library, and the load generator needs
+The container ships no HTTP client library, and a load generator needs
 thousands of keep-alive requests per second — this is the smallest thing
 that does that job.  One :class:`ServiceClient` owns one connection and
 issues requests serially (HTTP/1.1 without pipelining); concurrency comes
-from running many clients, which is exactly what the E17 load generator
-and the service smoke tests do.
+from running many clients, which is exactly what the repository benchmark
+(``servebench/``) and the service tests do.
 
 ``request`` returns ``(status, payload, raw_body)`` — the raw bytes are
 what the differential checks compare against locally serialized payloads.

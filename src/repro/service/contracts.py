@@ -5,8 +5,9 @@ it — request validation (raising :class:`ContractError`, which the HTTP
 layer maps to a 4xx response) and response payload construction.
 
 Payload construction is deliberately shared with the in-process paths:
-the CLI's route tables and the differential checks in the service tests
-and the E17 benchmark all build their expected rows through the same
+the CLI's route tables, the differential checks in the service tests
+and the repository benchmark's byte oracle (``servebench/``) all build
+their expected rows through the same
 :func:`route_record` / :func:`outcome_payload` functions.  Serialized
 with ``json.dumps(..., sort_keys=True)`` on both sides, a served response
 is therefore byte-identical to the answer a local

@@ -66,12 +66,10 @@ class InstanceRegistry:
         *,
         caching: bool = True,
         max_batch: int = 512,
-        batch_window: float = 0.0,
         queue_limit: int | None = None,
     ) -> None:
         self.caching = caching
         self.max_batch = max_batch
-        self.batch_window = batch_window
         self.queue_limit = queue_limit
         self._instances: dict[str, ServiceInstance] = {}
         self._order: list[str] = []
@@ -125,7 +123,6 @@ class InstanceRegistry:
                 engine,
                 metrics=metrics,
                 max_batch=self.max_batch,
-                batch_window=self.batch_window,
                 max_queue_depth=self.queue_limit,
             ),
             metrics=metrics,

@@ -24,7 +24,9 @@ process group:
   runs the same full-flush rebind through its engine worker
   queue, strictly serialized with that worker's query traffic.  This is
   how churn schedules execute under live load: the supervisor broadcasts
-  one rebind per movement step while clients keep routing (E18).
+  one rebind per movement step while clients keep routing (servebench's
+  ``churn-450`` workload, and the churn-under-traffic test in
+  ``tests/service/test_multiproc.py``).
 
 Worker processes are forked *before* any asyncio loop exists in them and
 create their own loop via :func:`asyncio.run`; the parent's loop (if any)
@@ -66,14 +68,12 @@ class WorkerRuntime:
         *,
         caching: bool = True,
         max_batch: int = 512,
-        batch_window: float = 0.0,
         queue_limit: int | None = None,
         warm_nodes: int = 0,
     ) -> None:
         self.store = store
         self.caching = caching
         self.max_batch = max_batch
-        self.batch_window = batch_window
         self.queue_limit = queue_limit
         self.warm_nodes = warm_nodes
 
@@ -82,7 +82,6 @@ class WorkerRuntime:
         registry = InstanceRegistry(
             caching=self.caching,
             max_batch=self.max_batch,
-            batch_window=self.batch_window,
             queue_limit=self.queue_limit,
         )
         for entry in self.store.entries():
@@ -256,7 +255,6 @@ class ServiceSupervisor:
         port: int = 0,
         caching: bool = True,
         max_batch: int = 512,
-        batch_window: float = 0.0,
         queue_limit: int | None = None,
         warm_nodes: int = 0,
         start_timeout: float = 60.0,
@@ -271,7 +269,6 @@ class ServiceSupervisor:
         self._options = {
             "caching": caching,
             "max_batch": max_batch,
-            "batch_window": batch_window,
             "queue_limit": queue_limit,
             "warm_nodes": warm_nodes,
         }

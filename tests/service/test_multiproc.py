@@ -51,11 +51,10 @@ def store(inst):
     return s
 
 
-def _expected_bytes(inst, pairs):
+def _expected_bytes(abst, udg, pairs):
     """The route/batch envelope a cache-less oracle engine produces."""
-    sc, graph, abst = inst
     digest = abstraction_digest(abst)
-    oracle = QueryEngine(abst, "hull", udg=graph.udg, caching=False)
+    oracle = QueryEngine(abst, "hull", udg=udg, caching=False)
     results = [
         outcome_payload(
             out, oracle.abstraction.points, oracle.optimal(out.source, out.target)
@@ -115,7 +114,9 @@ class TestMultiprocParity:
         pairs = [
             (int(s), int(t)) for s, t in rng.integers(0, sc.n, size=(16, 2))
         ]
-        expected = {pair: _expected_bytes(inst, [pair]) for pair in pairs}
+        expected = {
+            pair: _expected_bytes(abst, graph.udg, [pair]) for pair in pairs
+        }
 
         async def single_process():
             reg = InstanceRegistry()
@@ -197,24 +198,135 @@ class TestChurnRebindUnderGroup:
                 assert all(r["rebind_ms"] > 0.0 for r in records)
             # After the final rebind, answers must match a cache-less
             # oracle over the final topology — from every worker.
-            oracle = QueryEngine(
-                last.abstraction, "hull", udg=last.udg, caching=False
-            )
-            digest = abstraction_digest(last.abstraction)
-            results = [
-                outcome_payload(
-                    out,
-                    oracle.abstraction.points,
-                    oracle.optimal(out.source, out.target),
-                )
-                for out in oracle.route_many(pairs)
-            ]
-            expected = json.dumps(
-                {"instance": digest, "mode": "hull", "results": results},
-                sort_keys=True,
-            ).encode("utf-8")
+            expected = _expected_bytes(last.abstraction, last.udg, pairs)
             for _ in range(4):  # several connections → both workers sampled
                 assert asyncio.run(route_bytes(sup.port, pairs)) == expected
+
+
+class TestChurnUnderTraffic:
+    """Churn rebinds broadcast to a live group while clients keep routing.
+
+    Background clients run throughout; after each broadcast the test
+    waits (under a deadline) until they have completed a fixed number of
+    requests, so the availability sample is sized by request count, not
+    by wall-clock windows.
+    """
+
+    STEPS = 4
+    CLIENTS = 3
+    REQUESTS_PER_STEP = 20
+    MIN_OK = 60
+    WAIT_S = 60.0
+
+    def test_churn_rebinds_under_background_traffic(self, inst, store):
+        sc, graph, abst = inst
+        rebinder = ChurnRebinder(
+            sc, steps=self.STEPS, seed=29, move_fraction=0.12
+        )
+        assert {e.kind for e in rebinder.schedule} == {"move"}
+        rng = np.random.default_rng(31)
+        pool = [
+            (int(s), int(t)) for s, t in rng.integers(0, sc.n, size=(16, 2))
+        ]
+        outcomes = {"ok": 0, "shed": 0, "failed": 0}
+
+        def completed():
+            return sum(outcomes.values())
+
+        async def background(port, stop, seed):
+            client_rng = np.random.default_rng(seed)
+            while not stop.is_set():
+                # A fresh connection per burst spreads load over workers.
+                picks = client_rng.integers(0, len(pool), size=8)
+                try:
+                    async with ServiceClient("127.0.0.1", port) as c:
+                        for i in picks:
+                            s, t = pool[i]
+                            status, _, _ = await c.post(
+                                "/v1/route", {"source": s, "target": t}
+                            )
+                            if status == 200:
+                                outcomes["ok"] += 1
+                            elif status == 429:
+                                outcomes["shed"] += 1
+                            else:
+                                outcomes["failed"] += 1
+                except (OSError, asyncio.IncompleteReadError):
+                    outcomes["failed"] += 1
+
+        async def until_completed(target):
+            loop = asyncio.get_running_loop()
+            deadline = loop.time() + self.WAIT_S
+            while completed() < target:
+                assert loop.time() < deadline, (
+                    f"background traffic stalled at {completed()} requests"
+                )
+                await asyncio.sleep(0.005)
+
+        async def churn(sup):
+            stop = asyncio.Event()
+            clients = [
+                asyncio.ensure_future(background(sup.port, stop, 41 + i))
+                for i in range(self.CLIENTS)
+            ]
+            steps = rebinder.steps()
+            last = None
+            try:
+                while True:
+                    # Rebuild and broadcast off the loop, so the clients
+                    # keep routing through them, not only between steps.
+                    step = await asyncio.to_thread(next, steps, None)
+                    if step is None:
+                        break
+                    records = await asyncio.to_thread(
+                        sup.broadcast_rebind, step.abstraction, step.udg
+                    )
+                    assert {r["digest"] for r in records} == {
+                        abstraction_digest(step.abstraction)
+                    }, f"workers diverged on step {step.step}"
+                    last = step
+                    await until_completed(
+                        completed() + self.REQUESTS_PER_STEP
+                    )
+            finally:
+                stop.set()
+                await asyncio.gather(*clients)
+            return last
+
+        async def verify(port, expected):
+            mismatches = 0
+            pids = set()
+            for _ in range(16):
+                async with ServiceClient("127.0.0.1", port) as c:
+                    _, body, _ = await c.get("/healthz")
+                    pids.add(body["pid"])
+                    for pair in pool[:8]:
+                        status, _, raw = await c.post(
+                            "/v1/route",
+                            {"source": pair[0], "target": pair[1]},
+                        )
+                        assert status == 200
+                        mismatches += raw != expected[pair]
+                if len(pids) == 2:
+                    break
+            return mismatches, pids
+
+        with ServiceSupervisor(store, workers=2, queue_limit=256) as sup:
+            last = asyncio.run(churn(sup))
+            assert last is not None and last.step == self.STEPS
+            # Quiesced differential on the final topology, against a
+            # cache-less oracle, from both workers.
+            expected = {
+                pair: _expected_bytes(last.abstraction, last.udg, [pair])
+                for pair in pool[:8]
+            }
+            mismatches, pids = asyncio.run(verify(sup.port, expected))
+
+        assert outcomes["ok"] >= self.MIN_OK, outcomes
+        served = outcomes["ok"] + outcomes["failed"]
+        assert outcomes["failed"] / served < 0.01, outcomes
+        assert mismatches == 0
+        assert len(pids) == 2, "kernel never balanced across both workers"
 
 
 class TestForkSafety:

@@ -306,9 +306,11 @@ class TestRegistry:
 
 
 class TestWorker:
-    def test_window_coalesces_concurrent_requests(self, inst):
+    def test_backlog_coalesces_concurrent_requests(self, inst):
+        """Requests that queue before the worker runs drain as one call."""
+
         async def run():
-            worker = EngineWorker(_reference_engine(inst), batch_window=0.02)
+            worker = EngineWorker(_reference_engine(inst))
             try:
                 results = await asyncio.gather(
                     *[worker.route([(0, 40 + i)]) for i in range(6)]
@@ -319,7 +321,9 @@ class TestWorker:
 
         stats, results = asyncio.run(run())
         assert stats.route_pairs == 6
-        assert stats.route_batches < 6  # coalesced, not one call per request
+        assert stats.route_requests == 6
+        # Coalesced from the backlog, not one call per request.
+        assert stats.route_batches < stats.route_requests
         for i, payloads in enumerate(results):
             assert len(payloads) == 1
             assert payloads[0]["source"] == 0
@@ -327,7 +331,7 @@ class TestWorker:
 
     def test_mixed_modes_split_groups(self, inst):
         async def run():
-            worker = EngineWorker(_reference_engine(inst), batch_window=0.02)
+            worker = EngineWorker(_reference_engine(inst))
             try:
                 a, b = await asyncio.gather(
                     worker.route([(0, 40)], mode="hull"),

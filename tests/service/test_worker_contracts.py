@@ -3,7 +3,7 @@
 Covers the four satellite bugs of PR 10 plus the new worker contracts
 they ride along with:
 
-* the batch window must not add latency once ``max_batch`` is filled;
+* a queued backlog coalesces up to the ``max_batch`` pair budget;
 * ``stop()`` (and even a killed worker task) must resolve every future;
 * ``percentile`` interpolates ranks and ``/metrics`` reports ``samples``;
 * ambiguous digest prefixes are a deterministic 409;
@@ -60,35 +60,28 @@ def _slowed(worker, seconds):
     worker._serve_route = slow
 
 
-class TestBatchWindowSaturation:
-    def test_full_budget_skips_the_window(self, inst):
-        """A saturated queue must not pay batch_window as extra latency."""
-        window = 0.5
+class TestBacklogCoalescing:
+    def test_full_budget_splits_the_backlog(self, inst):
+        """A backlog larger than ``max_batch`` drains in budget-sized calls."""
 
         async def run():
-            reg, instance = _registry(
-                inst, max_batch=2, batch_window=window
-            )
+            reg, instance = _registry(inst, max_batch=2)
             try:
-                started = time.perf_counter()
                 await asyncio.gather(
-                    instance.worker.route([(0, 40)]),
-                    instance.worker.route([(1, 50)]),
+                    *[instance.worker.route([(i, 40 + i)]) for i in range(6)]
                 )
-                return time.perf_counter() - started
+                return instance.worker.stats
             finally:
                 await reg.close()
 
-        elapsed = asyncio.run(run())
-        # Two one-pair requests fill max_batch=2 immediately; before the
-        # fix the worker slept the full window first.
-        assert elapsed < window / 2
+        stats = asyncio.run(run())
+        assert stats.route_requests == 6
+        assert stats.route_batches == 3
+        assert stats.max_batch_pairs == 2
 
-    def test_window_still_coalesces_below_budget(self, inst):
+    def test_backlog_coalesces_below_budget(self, inst):
         async def run():
-            reg, instance = _registry(
-                inst, max_batch=64, batch_window=0.05
-            )
+            reg, instance = _registry(inst, max_batch=64)
             try:
                 results = await asyncio.gather(
                     instance.worker.route([(0, 40)]),
@@ -97,7 +90,7 @@ class TestBatchWindowSaturation:
                 )
                 stats = instance.worker.stats
                 assert stats.route_requests == 3
-                # All three landed while the window was open → one batch.
+                # All three queued before the worker ran → one batch.
                 assert stats.route_batches == 1
                 return results
             finally:

@@ -70,7 +70,7 @@ class TestParser:
         args = build_parser().parse_args(["serve"])
         assert args.command == "serve"
         assert args.host == "127.0.0.1" and args.port == 8177
-        assert args.max_batch == 512 and args.batch_window_ms == 0.0
+        assert args.max_batch == 512
         assert args.max_requests is None and args.mode == "hull"
 
 
