@@ -8,14 +8,13 @@ minimum bounding box of a convex hull.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from collections.abc import Sequence
 
 import numpy as np
 
-from .primitives import EPS, as_array, distance
-from .predicates import orientation, segments_properly_intersect
+from .primitives import EPS, as_array
+from .predicates import segments_properly_intersect
 
 __all__ = [
     "BoundingBox",

@@ -22,7 +22,11 @@ segment properly crossing a sight line shares a cell neighborhood with it,
 see :meth:`SegmentGrid.crossing_mask`), so the pruned test classifies every
 pair identically to the full scan; :func:`is_visible_reference` and
 :func:`visible_mask_reference` keep the full-scan implementations as the
-differential oracles (``tests/test_fastpath_equivalence.py``).
+differential oracles (``tests/test_fastpath_equivalence.py``).  The second
+half of the test — does some piece of an uncrossed sight line run strictly
+inside an obstacle? — runs in :func:`visible_mask` as an array kernel over
+(sight line × polygon edge) blocks, with the scalar :func:`_piece_inside`
+walk kept as its reference.
 """
 
 from __future__ import annotations
@@ -33,14 +37,13 @@ from collections.abc import Iterable, Sequence
 
 import numpy as np
 
-from .primitives import as_array, distance
+from .primitives import EPS, as_array, distance
 from .predicates import (
     proper_crossing_mask,
     segment_intersects_any,
     segments_intersect_batch,
 )
 from .polygon import (
-    point_in_polygon,
     point_on_polygon_boundary,
     polygon_edges,
     segment_polygon_intersections,
@@ -58,6 +61,10 @@ __all__ = [
     "shortest_path_through_visibility",
     "VisibilityGraph",
 ]
+
+#: Element budget of one (sight line × polygon edge) block in the interior
+#: kernel: bounds peak memory on long hole rings without changing a result.
+INTERIOR_BUDGET = 65536
 
 
 class SegmentGrid:
@@ -381,11 +388,11 @@ def _runs_inside_bulk(
 ) -> np.ndarray:
     """Batched :func:`_runs_inside` over ``m`` segments.
 
-    The segment-bbox-versus-obstacle-bbox rejection runs as one numpy mask
-    per obstacle; only the (segment, obstacle) pairs whose boxes actually
-    overlap fall through to the scalar :func:`_piece_inside` walk — the
-    identical per-pair decision, so the result equals a Python loop of
-    :func:`_runs_inside` calls element-wise.
+    The segment-versus-obstacle-box rejection runs as one numpy mask per
+    obstacle; the segments that enter an obstacle's box go through
+    :func:`_pieces_inside`, the array form of :func:`_piece_inside`, which
+    makes the identical per-pair decision, so the result equals a Python
+    loop of :func:`_runs_inside` calls element-wise.
     """
     m = len(pa)
     out = np.zeros(m, dtype=bool)
@@ -407,10 +414,143 @@ def _runs_inside_bulk(
         lo, hi = _slab_interval(
             pa, dx, dy, bxmin - pad, bymin - pad, bxmax + pad, bymax + pad
         )
-        enters = (lo <= hi) & ~out
-        for j in np.flatnonzero(enters):
-            if _piece_inside(pa[j], qa[j], poly):
-                out[j] = True
+        enters = np.flatnonzero((lo <= hi) & ~out)
+        if len(enters):
+            out[enters] = _pieces_inside(
+                pa[enters], qa[enters], as_array(poly), INTERIOR_BUDGET
+            )
+    return out
+
+
+def _pieces_inside(
+    pa: np.ndarray, qa: np.ndarray, poly: np.ndarray, budget: int
+) -> np.ndarray:
+    """:func:`_piece_inside` for ``m`` segments against one polygon.
+
+    ``budget`` caps the elements of one (segment × polygon edge) block.
+    Three array steps replace the scalar walk: the boundary cuts of every
+    (segment, edge) pair, the pieces between each segment's sorted cuts,
+    and the strict-interior test of each piece's midpoint.  Every float
+    expression is the one :func:`segment_polygon_intersections`,
+    :func:`_piece_inside`, :func:`_strictly_inside` and
+    :func:`point_on_polygon_boundary` evaluate, in the same operation
+    order, so each decision is equal to the scalar one, not just close.
+    Divisions are taken only where the scalar code divides (elsewhere
+    the divisor is replaced by 1.0 or the entry is never formed).
+    """
+    k = len(poly)
+    m = len(pa)
+    ax = poly[:, 0]
+    ay = poly[:, 1]
+    nxt = np.concatenate((poly[1:], poly[:1]))
+    ex = nxt[:, 0] - ax
+    ey = nxt[:, 1] - ay
+    dx = qa[:, 0] - pa[:, 0]
+    dy = qa[:, 1] - pa[:, 1]
+    rows_list: list[np.ndarray] = []
+    cuts_list: list[np.ndarray] = []
+    per = max(1, budget // k)
+    for lo in range(0, m, per):
+        hi = min(m, lo + per)
+        px = pa[lo:hi, 0:1]
+        py = pa[lo:hi, 1:2]
+        bdx = dx[lo:hi, None]
+        bdy = dy[lo:hi, None]
+        denom = bdx * ey - bdy * ex
+        live = ~(np.abs(denom) < EPS)
+        safe = np.where(live, denom, 1.0)
+        rx = ax - px
+        ry = ay - py
+        t = (rx * ey - ry * ex) / safe
+        s = (rx * bdy - ry * bdx) / safe
+        cut = live & (-EPS <= t) & (t <= 1 + EPS) & (-EPS <= s) & (s <= 1 + EPS)
+        r, _ = np.nonzero(cut)
+        rows_list.append(lo + r)
+        cuts_list.append(t[cut])
+    # Each segment's cut list is [0, 1] plus its boundary contacts; sorting
+    # by (segment, t) lays every list out in order, and consecutive entries
+    # of one segment bound its pieces.
+    rows = np.concatenate([np.arange(m), np.arange(m), *rows_list])
+    cuts = np.concatenate([np.zeros(m), np.ones(m), *cuts_list])
+    order = np.lexsort((cuts, rows))
+    rows = rows[order]
+    cuts = cuts[order]
+    same = rows[1:] == rows[:-1]
+    t0 = cuts[:-1][same]
+    t1 = cuts[1:][same]
+    piece_rows = rows[1:][same]
+    keep = ~(t1 - t0 < 1e-9)
+    piece_rows = piece_rows[keep]
+    tm = (t0[keep] + t1[keep]) / 2.0
+    sx = pa[piece_rows, 0] + tm * dx[piece_rows]
+    sy = pa[piece_rows, 1] + tm * dy[piece_rows]
+    out = np.zeros(m, dtype=bool)
+    out[piece_rows[_strictly_inside_mask(sx, sy, poly, budget)]] = True
+    return out
+
+
+def _strictly_inside_mask(
+    x: np.ndarray, y: np.ndarray, poly: np.ndarray, budget: int
+) -> np.ndarray:
+    """:func:`_strictly_inside` for ``m`` sample points against one polygon.
+
+    The ray cast forms ``x_cross`` only for straddling edges (where the
+    scalar loop forms it, so there is no zero divisor) and takes its parity
+    per point; the boundary check runs only on odd-parity points, as the
+    scalar function defers it.
+    """
+    m = len(x)
+    out = np.zeros(m, dtype=bool)
+    if m == 0:
+        return out
+    k = len(poly)
+    xi = poly[:, 0]
+    yi = poly[:, 1]
+    xj = np.concatenate((xi[-1:], xi[:-1]))
+    yj = np.concatenate((yi[-1:], yi[:-1]))
+    per = max(1, budget // k)
+    odd_parts: list[np.ndarray] = []
+    for lo in range(0, m, per):
+        bx = x[lo : lo + per]
+        by = y[lo : lo + per, None]
+        r, e = np.nonzero((yi > by) != (yj > by))
+        x_cross = xi[e] + (by[r, 0] - yi[e]) / (yj[e] - yi[e]) * (xj[e] - xi[e])
+        hits = np.bincount(r[bx[r] < x_cross], minlength=len(bx))
+        odd_parts.append(lo + np.flatnonzero(hits % 2 == 1))
+    odd = np.concatenate(odd_parts)
+    out[odd] = ~_on_boundary_mask(x[odd], y[odd], poly, budget)
+    return out
+
+
+def _on_boundary_mask(
+    x: np.ndarray, y: np.ndarray, poly: np.ndarray, budget: int
+) -> np.ndarray:
+    """:func:`point_on_polygon_boundary` (default ``tol``) for ``m`` points
+    against one polygon."""
+    tol = 1e-9
+    out = np.zeros(len(x), dtype=bool)
+    k = len(poly)
+    ax = poly[:, 0]
+    ay = poly[:, 1]
+    nxt = np.concatenate((poly[1:], poly[:1]))
+    vx = nxt[:, 0] - ax
+    vy = nxt[:, 1] - ay
+    seg_len_sq = vx * vx + vy * vy
+    point_edge = seg_len_sq < EPS
+    safe_len = np.where(point_edge, 1.0, seg_len_sq)
+    per = max(1, budget // k)
+    for lo in range(0, len(x), per):
+        wx = x[lo : lo + per, None] - ax
+        wy = y[lo : lo + per, None] - ay
+        t = np.maximum(0.0, np.minimum(1.0, (wx * vx + wy * vy) / safe_len))
+        ddx = wx - t * vx
+        ddy = wy - t * vy
+        near = np.where(
+            point_edge,
+            (np.abs(wx) < tol) & (np.abs(wy) < tol),
+            ddx * ddx + ddy * ddy <= tol * tol,
+        )
+        out[lo : lo + per] = near.any(axis=1)
     return out
 
 
@@ -465,8 +605,8 @@ def visible_mask(
     proper-crossing rejection runs through a :class:`SegmentGrid` (built on
     the fly unless one is passed in), so each sight line is tested only
     against the obstacle segments sharing a grid neighborhood with it
-    instead of all Θ(k) of them; only the surviving pairs pay for the
-    interior-containment walk.  This is the hot path of Θ(h²)
+    instead of all Θ(k) of them; only the surviving pairs go through the
+    array interior test.  This is the hot path of Θ(h²)
     visibility-graph construction; :func:`visible_mask_reference` keeps the
     unpruned scan as the oracle.
     """

@@ -44,7 +44,7 @@ from ..core.abstraction import Abstraction
 from ..geometry.delaunay import delaunay_edges
 from ..geometry.primitives import distance
 from ..geometry.visibility import (
-    is_visible,
+    SegmentGrid,
     obstacle_bboxes,
     obstacle_segments,
     visible_mask,
@@ -119,8 +119,8 @@ class WaypointPlanner:
         self.obstacles = [
             p for p in abstraction.boundary_polygons() if len(p) >= 3
         ]
-        self._segments = obstacle_segments(self.obstacles)
         self._bboxes = obstacle_bboxes(self.obstacles)
+        self._grid = SegmentGrid(obstacle_segments(self.obstacles))
         self.base_vertices: list[int] = sorted(set(vertices))
         self.bay_groups = bay_groups or {}
         self.bay_arc_edges = bay_arc_edges or {}
@@ -134,13 +134,7 @@ class WaypointPlanner:
     # -- construction -------------------------------------------------------------
     def visible(self, a: int, b: int) -> bool:
         """Are nodes a and b mutually visible w.r.t. the hole obstacles?"""
-        return self._visible_points(self.points[a], self.points[b])
-
-    def _visible_points(self, pa, pb) -> bool:
-        return is_visible(
-            pa, pb, self.obstacles,
-            segments=self._segments, bboxes=self._bboxes,
-        )
+        return bool(self._visible_pairs([(a, b)]))
 
     def _add_edge(self, store: dict[int, dict[int, Leg]], u: int, v: int,
                   kind: str, path: tuple[int, ...] | None = None,
@@ -162,17 +156,20 @@ class WaypointPlanner:
             store.setdefault(v, {})[u] = Leg(v, u, kind, rpath, weight)
 
     def _visible_pairs(self, pairs: list[tuple[int, int]]) -> list[tuple[int, int]]:
-        """Filter node-id pairs down to the mutually visible ones, batched.
+        """Filter node-id pairs down to the mutually visible ones, in order.
 
-        Semantically identical to calling :meth:`visible` per pair; the
-        Θ(m·k) proper-crossing rejection runs through the vectorized kernel.
+        Every visibility question the planner asks goes through here: one
+        :func:`visible_mask` call against the planner's one
+        :class:`SegmentGrid`, with the sight line running from ``u`` to
+        ``v``.  Callers add edges in the order of the returned list, which
+        is the order of ``pairs``.
         """
         if not pairs:
             return []
         arr = np.asarray(pairs, dtype=np.intp)
         vis = visible_mask(
             self.points[arr[:, 0]], self.points[arr[:, 1]], self.obstacles,
-            segments=self._segments, bboxes=self._bboxes,
+            bboxes=self._bboxes, grid=self._grid,
         )
         return [(int(u), int(v)) for (u, v), ok in zip(pairs, vis) if ok]
 
@@ -186,23 +183,25 @@ class WaypointPlanner:
                 for u, v in self._visible_pairs(candidates):
                     self._add_edge(self.base_edges, u, v, "chew")
             else:
-                coords = self.points[ids]
-                for i, j in delaunay_edges(coords):
-                    u, v = ids[i], ids[j]
-                    if self.visible(u, v):
-                        self._add_edge(self.base_edges, u, v, "chew")
+                candidates = [
+                    (ids[i], ids[j]) for i, j in delaunay_edges(self.points[ids])
+                ]
+                for u, v in self._visible_pairs(candidates):
+                    self._add_edge(self.base_edges, u, v, "chew")
         # Hull-perimeter edges: adjacent hull corners are visible whenever
         # the instance satisfies the disjoint-hulls assumption (Lemma 4.15);
         # adding them explicitly guarantees every hole can be circumnavigated
         # even when the Delaunay filter dropped a perimeter edge.
         base_set = set(ids)
-        for hole in self.abstraction.holes:
-            hull = hole.hull
-            if len(hull) < 2:
-                continue
-            for a, b in zip(hull, hull[1:] + hull[:1]):
-                if a in base_set and b in base_set and self.visible(a, b):
-                    self._add_edge(self.base_edges, a, b, "chew")
+        perimeter = [
+            (a, b)
+            for hole in self.abstraction.holes
+            if len(hole.hull) >= 2
+            for a, b in zip(hole.hull, hole.hull[1:] + hole.hull[:1])
+            if a in base_set and b in base_set
+        ]
+        for a, b in self._visible_pairs(perimeter):
+            self._add_edge(self.base_edges, a, b, "chew")
         # Boundary-ring edges between ring-consecutive base vertices (§3
         # mode: boundary nodes are all present, and ring edges are always
         # routable because ring neighbors are LDel-adjacent).
@@ -267,17 +266,19 @@ class WaypointPlanner:
             for leg_map in self._bay_visibility(bay_id):
                 extra_edges.setdefault(leg_map.src, {})[leg_map.dst] = leg_map
 
+        # Each terminal joins ``active`` and is tested against every active
+        # vertex (the second terminal sees the first).  All sight lines go
+        # in one batch; the edges are added terminal by terminal in the
+        # iteration order of ``active`` right after that terminal joined.
+        # The waypoint Dijkstra breaks weight ties by first relaxation, so
+        # this order decides the route.
         terminals = [x for x in (src, dst) if x not in active]
+        candidates: list[tuple[int, int]] = []
         for term in terminals:
             active.add(term)
-            for v in list(active):
-                if v == term:
-                    continue
-                if self.visible(term, v):
-                    self._add_edge(extra_edges, term, v, "chew")
-        if src != dst and src not in self.base_vertices and dst not in self.base_vertices:
-            # both terminals: the direct edge was added above if visible
-            pass
+            candidates.extend((term, v) for v in active if v != term)
+        for term, v in self._visible_pairs(candidates):
+            self._add_edge(extra_edges, term, v, "chew")
 
         return self._dijkstra(src, dst, active, extra_edges, banned or set())
 

@@ -8,6 +8,8 @@ import pytest
 from repro.geometry.primitives import distance
 from repro.graphs.shortest_paths import (
     dijkstra,
+    dijkstra_weighted,
+    euclidean_weights,
     euclidean_shortest_path,
     euclidean_shortest_path_length,
     hop_distances,
@@ -15,6 +17,11 @@ from repro.graphs.shortest_paths import (
     path_edge_lengths,
 )
 from repro.graphs.udg import unit_disk_graph
+from repro.scenarios import perturbed_grid_scenario
+
+# The weighted-adjacency oracle is differential against the reference
+# Dijkstra; a stray divide or inf arithmetic in it fails the suite.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 @pytest.fixture(scope="module")
@@ -109,3 +116,53 @@ class TestHops:
         pts, adj = chain
         lens = path_edge_lengths(pts, [0, 1, 2])
         assert lens == [pytest.approx(0.8), pytest.approx(0.8)]
+
+
+def _bits(dist):
+    return {v: d.hex() for v, d in dist.items()}
+
+
+class TestWeightedOracle:
+    """``dijkstra_weighted`` over ``euclidean_weights`` ≡ :func:`dijkstra`,
+    bit for bit."""
+
+    def test_e1_udg_bit_identical(self):
+        sc = perturbed_grid_scenario(
+            width=12.0, height=12.0, hole_count=2, hole_scale=2.0, seed=1
+        )
+        adj = unit_disk_graph(sc.points)
+        nbrs = euclidean_weights(sc.points, adj)
+        sources = np.random.default_rng(2).choice(len(sc.points), 20, replace=False)
+        for s in sources.tolist():
+            want, _ = dijkstra(sc.points, adj, s)
+            got = dijkstra_weighted(nbrs, s)
+            assert _bits(got) == _bits(want)
+
+    def test_random_graph_bit_identical(self, random_graph):
+        pts, adj = random_graph
+        nbrs = euclidean_weights(pts, adj)
+        for s in range(len(pts)):
+            assert _bits(dijkstra_weighted(nbrs, s)) == _bits(dijkstra(pts, adj, s)[0])
+
+    def test_coincident_nodes_zero_weight(self):
+        # Nodes 1 and 2 coincide: a zero-weight edge.
+        pts = np.array([[0.0, 0.0], [0.7, 0.1], [0.7, 0.1], [1.3, 0.4], [2.0, 0.2]])
+        adj = unit_disk_graph(pts)
+        assert 2 in adj[1]
+        nbrs = euclidean_weights(pts, adj)
+        for s in range(len(pts)):
+            got = dijkstra_weighted(nbrs, s)
+            assert _bits(got) == _bits(dijkstra(pts, adj, s)[0])
+        assert dijkstra_weighted(nbrs, 1)[2] == 0.0
+
+    def test_unreachable_targets_absent(self):
+        # Two components: the far one is missing from both maps, so
+        # ``dist.get(t, inf)`` reads ``inf`` for it.
+        pts = np.array([[0.0, 0.0], [0.8, 0.0], [1.6, 0.0], [9.0, 9.0], [9.5, 9.0]])
+        adj = unit_disk_graph(pts)
+        nbrs = euclidean_weights(pts, adj)
+        got = dijkstra_weighted(nbrs, 0)
+        assert _bits(got) == _bits(dijkstra(pts, adj, 0)[0])
+        assert set(got) == {0, 1, 2}
+        assert got.get(4, math.inf) == math.inf
+        assert dijkstra_weighted(nbrs, 4) == {4: 0.0, 3: 0.5}

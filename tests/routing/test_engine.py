@@ -6,8 +6,6 @@ change a route.  Every test here compares engine output against a cold
 abstraction state.
 """
 
-import math
-
 import numpy as np
 import pytest
 
@@ -102,6 +100,32 @@ class TestCaches:
         assert engine.optimal(s, t) == pytest.approx(dist[t])
         engine.optimal(s, pairs[1][1])
         assert engine.stats.cache["dijkstra"] == {"hits": 1, "misses": 1}
+
+    @pytest.mark.parametrize("caching", [True, False])
+    def test_oracle_bit_identical_to_reference_dijkstra(self, inst, pairs, caching):
+        _, graph, abst = inst
+        engine = QueryEngine(abst, "hull", udg=graph.udg, caching=caching)
+        for s in sorted({s for s, _ in pairs}):
+            want, _ = dijkstra(graph.points, graph.udg, s)
+            got = engine.distances(s)
+            assert {v: d.hex() for v, d in got.items()} == {
+                v: d.hex() for v, d in want.items()
+            }
+
+    def test_oracle_weights_built_after_rebind_not_in_it(self, inst, pairs):
+        # The UDG's edge weights are computed by the first distances()
+        # call of a bind, so rebind (update_ms) does not pay for them, and
+        # a rebind onto moved coordinates is seen by the next call.
+        _, graph, abst = inst
+        engine = QueryEngine(abst, "hull", udg=graph.udg)
+        s, t = pairs[0]
+        engine.optimal(s, t)
+        moved = build_abstraction(build_ldel(abst.points * 1.01))
+        engine.rebind(moved)
+        assert engine._udg_weights is None
+        want, _ = dijkstra(moved.points, moved.graph.adjacency, s)
+        assert engine.optimal(s, t) == want.get(t, float("inf"))
+        assert engine._udg_weights is not None
 
     def test_metrics_collector_receives_cache_events(self, inst, pairs):
         _, graph, abst = inst

@@ -3,8 +3,15 @@
 import numpy as np
 import pytest
 
+import repro.routing.waypoints as waypoints
+from repro.analysis import make_instance
+from repro.geometry.visibility import visible_mask_reference
+from repro.routing import hull_router, sample_pairs
 from repro.routing.bay_routing import bay_waypoint_structures
 from repro.routing.waypoints import WaypointPlanner
+
+# An unguarded divide in the array visibility kernel fails the suite.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 @pytest.fixture(scope="module")
@@ -252,3 +259,87 @@ class TestPlanFailureModes:
             pytest.skip("no bays")
         first = planner._bay_visibility(keys[0])
         assert planner._bay_visibility(keys[0]) is first  # cached
+
+
+def _e1_workload():
+    # E1's first instance and its 80-pair sample (benchmarks/bench_competitiveness.py).
+    inst = make_instance(
+        width=12.0, height=12.0, hole_count=2, hole_scale=2.0, seed=1
+    )
+    return inst, sample_pairs(inst.n, 80, np.random.default_rng(5))
+
+
+def _e7_workload():
+    # E7's concave-hole instance and pairs, in-bay pairs included
+    # (benchmarks/bench_case_breakdown.py).
+    inst = make_instance(
+        width=18.0,
+        height=18.0,
+        hole_count=2,
+        hole_scale=3.0,
+        hole_shapes=("l_shape", "crescent"),
+        seed=12,
+    )
+    pairs = sample_pairs(inst.n, 260, np.random.default_rng(0))
+    bays = [
+        bay
+        for h in inst.abstraction.holes
+        for bay in h.bays
+        if len(bay.interior) >= 2
+    ]
+    for bay in bays[:6]:
+        pairs.append((bay.interior[0], bay.interior[-1]))
+        pairs.append((bay.interior[0], 0))
+    return inst, pairs
+
+
+def _recorded_plans(abstraction, pairs):
+    """Static edges and every ``plan()`` call (arguments and legs) made
+    while a fresh hull router routes ``pairs``, in order."""
+    router = hull_router(abstraction)
+    planner = router.planner
+    plan = planner.plan
+    calls = []
+
+    def recording_plan(src, dst, *, active_bays=(), banned=None):
+        out = plan(src, dst, active_bays=active_bays, banned=banned)
+        calls.append(
+            (
+                src,
+                dst,
+                sorted(active_bays),
+                sorted(map(sorted, banned or ())),
+                None if out is None else out.legs,
+            )
+        )
+        return out
+
+    planner.plan = recording_plan
+    for s, t in pairs:
+        router.route(s, t)
+    static = [(u, list(nbrs.items())) for u, nbrs in planner.base_edges.items()]
+    return static, calls
+
+
+class TestPlannerMatchesReference:
+    """The planner's batched, grid-pruned visibility ≡ the full-scan oracle.
+
+    Legs are compared with their weights and in edge-insertion order: the
+    waypoint Dijkstra breaks ties by first relaxation, so a reordered
+    ``_add_edge`` sequence could change a route without changing a
+    visibility answer.
+    """
+
+    @pytest.mark.parametrize("workload", [_e1_workload, _e7_workload], ids=["E1", "E7"])
+    def test_plan_legs_equal_reference(self, workload, monkeypatch):
+        inst, pairs = workload()
+        fast = _recorded_plans(inst.abstraction, pairs)
+
+        def reference(pa, qa, obstacles, *, bboxes=None, grid=None):
+            return visible_mask_reference(pa, qa, obstacles, bboxes=bboxes)
+
+        monkeypatch.setattr(waypoints, "visible_mask", reference)
+        ref = _recorded_plans(inst.abstraction, pairs)
+        assert fast[0] == ref[0]
+        assert len(fast[1]) >= 20  # the pairs exercise the planner
+        assert fast[1] == ref[1]

@@ -25,10 +25,18 @@ from repro.geometry.delaunay import (
     empty_circumcircle_violations,
     locate_point_reference,
 )
+from repro.geometry import visibility
 from repro.geometry.visibility import (
     SegmentGrid,
+    _piece_inside,
+    _pieces_inside,
+    _runs_inside,
+    _runs_inside_bulk,
+    _strictly_inside,
+    _strictly_inside_mask,
     is_visible,
     is_visible_reference,
+    obstacle_bboxes,
     obstacle_segments,
     visible_mask,
     visible_mask_reference,
@@ -56,6 +64,9 @@ from repro.graphs.udg import (
     unit_disk_graph_reference,
 )
 from repro.scenarios import perturbed_grid_scenario
+
+# The array kernels guard every divide; an unguarded one fails the suite.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def _uniform(seed: int, n: int, scale: float) -> np.ndarray:
@@ -296,6 +307,178 @@ class TestVisibilityEquivalence:
             for sid, (ax, ay, bx, by) in enumerate(segs):
                 if segments_properly_intersect(p, q, (ax, ay), (bx, by)):
                     assert sid in cand
+
+
+# -- the array interior kernel -------------------------------------------------
+
+_SQUARE = np.array([[0.0, 0.0], [4.0, 0.0], [4.0, 4.0], [0.0, 4.0]])
+_L_SHAPE = np.array(
+    [[0.0, 0.0], [4.0, 0.0], [4.0, 2.0], [2.0, 2.0], [2.0, 4.0], [0.0, 4.0]]
+)
+# A repeated vertex and a sub-EPS edge: the ``seg_len_sq < EPS`` branch of
+# the boundary check, and ``|denom| < EPS`` for every sight line.
+_ZERO_EDGES = np.array(
+    [[0.0, 0.0], [4.0, 0.0], [4.0, 0.0], [4.0, 4.0], [4.0 - 1e-7, 4.0], [0.0, 4.0]]
+)
+# A spike 2e-8 wide: a long sight line across it cuts its two edges less
+# than 1e-9 apart in t (a piece the walk skips), a short one does not.
+_SPIKE = np.array([[0.0, 0.0], [10.0, 1e-8], [10.0, -1e-8]])
+_KERNEL_POLYS = (_SQUARE, _L_SHAPE, _ZERO_EDGES, _SPIKE)
+
+
+def _all_pairs(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    ii, jj = np.meshgrid(np.arange(len(points)), np.arange(len(points)))
+    return points[ii.ravel()], points[jj.ravel()]
+
+
+def _through_vertices() -> tuple[np.ndarray, np.ndarray]:
+    # Corner to corner (diagonals through the interior, grazing edges),
+    # and lines through one or two vertices from outside.
+    pts = np.vstack([_L_SHAPE, [[-1.0, -1.0], [5.0, 5.0], [6.0, 2.0], [-2.0, 2.0]]])
+    return _all_pairs(pts)
+
+
+def _collinear_with_edges() -> tuple[np.ndarray, np.ndarray]:
+    # Along, inside and beyond polygon edges (``denom == 0`` on the edge
+    # itself, contacts at its end vertices from the adjacent edges).
+    pa = np.array(
+        [[-1.0, 0.0], [1.0, 0.0], [0.0, 0.0], [2.0, 1.0], [2.0, 3.0], [4.0, -1.0],
+         [3.0, 2.0], [-1.0, 4.0], [0.0, 4.0 - 1e-7]]
+    )
+    qa = np.array(
+        [[5.0, 0.0], [3.0, 0.0], [4.0, 0.0], [2.0, 5.0], [2.0, 2.0], [4.0, 5.0],
+         [1.0, 2.0], [5.0, 4.0], [4.0, 4.0]]
+    )
+    return pa, qa
+
+
+def _midpoints_on_boundary() -> tuple[np.ndarray, np.ndarray]:
+    # Pieces whose midpoint lies exactly on an edge or a vertex: the ray
+    # cast alone calls some of them inside, the boundary check must not.
+    pa = np.array(
+        [[0.0, 0.0], [1.0, 0.0], [4.0, 1.0], [2.0, 2.0], [0.0, 2.0], [3.0, 2.0],
+         [2.0, 4.0], [-1.0, 2.0]]
+    )
+    qa = np.array(
+        [[4.0, 0.0], [3.0, 0.0], [4.0, 3.0], [4.0, 2.0], [0.0, 4.0], [2.0, 2.0],
+         [2.0, 2.0], [1.0, 2.0]]
+    )
+    return pa, qa
+
+
+def _near_parallel() -> tuple[np.ndarray, np.ndarray]:
+    # Sight lines tilted off an edge by a few ulps up to well past EPS, so
+    # ``denom`` straddles the ``|denom| < EPS`` cut-off.
+    tilts = np.array([0.0, 1e-16, 1e-14, 2.5e-13, 3e-13, 1e-12, 1e-11, 1e-9])
+    pa = np.stack([np.full_like(tilts, -1.0), -tilts], axis=1)
+    qa = np.stack([np.full_like(tilts, 5.0), tilts], axis=1)
+    pb = np.stack([2.0 - tilts, np.full_like(tilts, 1.0)], axis=1)
+    qb = np.stack([2.0 + tilts, np.full_like(tilts, 5.0)], axis=1)
+    return np.vstack([pa, pb]), np.vstack([qa, qb])
+
+
+def _across_spike() -> tuple[np.ndarray, np.ndarray]:
+    xs = np.array([5.0, 9.0, 9.999])
+    pa = np.concatenate([np.stack([xs, np.full(3, -50.0)], 1), np.stack([xs, np.full(3, -1.0)], 1)])
+    qa = np.concatenate([np.stack([xs, np.full(3, 50.0)], 1), np.stack([xs, np.full(3, 1.0)], 1)])
+    return pa, qa
+
+
+def _degenerate_points() -> tuple[np.ndarray, np.ndarray]:
+    # ``p == q``: inside, outside, on an edge, on a vertex, on the zero edge.
+    pts = np.array(
+        [[1.0, 1.0], [3.0, 3.0], [5.0, 5.0], [2.0, 0.0], [4.0, 0.0], [2.0, 3.0],
+         [4.0 - 5e-8, 4.0]]
+    )
+    return pts, pts.copy()
+
+
+def _battery_lines() -> tuple[np.ndarray, np.ndarray]:
+    rng = np.random.default_rng(6)
+    corners = np.vstack(_obstacle_battery(seed=21, n_obs=12, scale=16.0))
+    ii, jj = np.triu_indices(len(corners), k=1)
+    pa = np.vstack([corners[ii], rng.uniform(0.0, 16.0, size=(400, 2))])
+    qa = np.vstack([corners[jj], rng.uniform(0.0, 16.0, size=(400, 2))])
+    return pa, qa
+
+
+_KERNEL_LINES = {
+    "through_vertices": _through_vertices,
+    "collinear_with_edges": _collinear_with_edges,
+    "midpoints_on_boundary": _midpoints_on_boundary,
+    "near_parallel": _near_parallel,
+    "across_spike": _across_spike,
+    "p_equals_q": _degenerate_points,
+}
+
+
+class TestInteriorKernelEquivalence:
+    """``_runs_inside_bulk``'s array kernel ≡ the scalar polygon walk,
+    pair by pair, with no tolerance (``docs/performance.md``)."""
+
+    @pytest.mark.parametrize("budget", [1, 5, 65536])
+    @pytest.mark.parametrize("lines", list(_KERNEL_LINES), ids=list(_KERNEL_LINES))
+    def test_pieces_inside_matches_piece_inside(self, lines, budget):
+        pa, qa = _KERNEL_LINES[lines]()
+        for poly in _KERNEL_POLYS:
+            got = _pieces_inside(pa, qa, poly, budget)
+            want = [_piece_inside(p, q, poly) for p, q in zip(pa, qa)]
+            assert got.tolist() == want
+
+    @pytest.mark.parametrize("budget", [1, 65536])
+    def test_battery_matches_runs_inside(self, budget, monkeypatch):
+        monkeypatch.setattr(visibility, "INTERIOR_BUDGET", budget)
+        obstacles = _obstacle_battery(seed=21, n_obs=12, scale=16.0)
+        bboxes = obstacle_bboxes(obstacles)
+        pa, qa = _battery_lines()
+        got = _runs_inside_bulk(pa, qa, obstacles, bboxes)
+        want = [_runs_inside(p, q, obstacles, bboxes) for p, q in zip(pa, qa)]
+        assert got.tolist() == want
+        assert 0 < got.sum() < len(got)
+
+    @pytest.mark.parametrize("budget", [1, 65536])
+    def test_fixtures_match_runs_inside(self, budget, monkeypatch):
+        monkeypatch.setattr(visibility, "INTERIOR_BUDGET", budget)
+        obstacles = [_L_SHAPE, _ZERO_EDGES + 6.0, _SQUARE - 6.0]
+        bboxes = obstacle_bboxes(obstacles)
+        for make in _KERNEL_LINES.values():
+            pa, qa = make()
+            for shift in (0.0, 6.0, -6.0):
+                got = _runs_inside_bulk(pa + shift, qa + shift, obstacles, bboxes)
+                want = [
+                    _runs_inside(p, q, obstacles, bboxes)
+                    for p, q in zip(pa + shift, qa + shift)
+                ]
+                assert got.tolist() == want
+
+    def test_strictly_inside_mask_on_lattice(self):
+        # Every vertex, edge point and cell centre of a half-unit lattice.
+        xs, ys = np.meshgrid(np.arange(-1.0, 5.5, 0.5), np.arange(-1.0, 5.5, 0.5))
+        x, y = xs.ravel(), ys.ravel()
+        for poly in _KERNEL_POLYS:
+            for budget in (1, 65536):
+                got = _strictly_inside_mask(x, y, poly, budget)
+                want = [_strictly_inside((a, b), poly) for a, b in zip(x, y)]
+                assert got.tolist() == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 6), st.integers(0, 6)), min_size=3, max_size=7
+        ),
+        st.lists(
+            st.tuples(st.integers(-1, 7), st.integers(-1, 7)), min_size=2, max_size=24
+        ),
+    )
+    def test_integer_lattice_property(self, ring, ends):
+        # Small-integer coordinates make collinear runs, shared vertices and
+        # self-touching rings common — the degenerate cases of the kernel.
+        poly = np.asarray(ring, dtype=np.float64)
+        pts = np.asarray(ends, dtype=np.float64)
+        pa, qa = pts[::2][: len(pts) // 2], pts[1::2]
+        got = _pieces_inside(pa, qa, poly, 3)
+        want = [_piece_inside(p, q, poly) for p, q in zip(pa, qa)]
+        assert got.tolist() == want
 
 
 # -- faces and holes ----------------------------------------------------------
