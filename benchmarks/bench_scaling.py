@@ -15,7 +15,8 @@ on the built abstraction.
 
 Asserted contract: both fast paths equal their oracles at every size both
 run, the fast LDel build beats its reference by ≥10× and ``find_holes``
-beats its reference by ≥4× at the largest such size, and the 10⁵-node
+beats its reference by ≥4× at the largest such size (each side timed as
+the best of three calls there), and the 10⁵-node
 build completes inside the wall-clock budget — the "seconds, not hours"
 bar the vectorization exists for.
 
@@ -67,13 +68,23 @@ def _max_n() -> int:
 _cache: dict = {}
 
 
-def _timed(fn, *args):
+def _timed(fn, *args, repeats=1):
     """``(fn(*args), seconds)``, with the garbage of earlier stages collected
-    first so that no stage pays for another's collector pass."""
-    gc.collect()
-    t0 = time.perf_counter()
-    out = fn(*args)
-    return out, time.perf_counter() - t0
+    first so that no stage pays for another's collector pass; the best of
+    ``repeats`` calls."""
+    best = math.inf
+    for _ in range(repeats):
+        gc.collect()
+        t0 = time.perf_counter()
+        out = fn(*args)
+        best = min(best, time.perf_counter() - t0)
+    return out, best
+
+
+def _gated_target() -> int:
+    """The grid size whose fast/reference ratios the test gates: the largest
+    one the reference oracles run at."""
+    return max(t for t in TARGET_NS if t <= min(_max_n(), REF_MAX_N))
 
 
 def _hole_rows(hs):
@@ -95,17 +106,22 @@ def _results():
             hole_scale=2.2, seed=13,
         )
 
-        graph, fast_s = _timed(build_ldel, sc.points)
-        holes, holes_s = _timed(find_holes, graph)
+        # A gated ratio is a wall-clock ratio: best of three on each side,
+        # so that one slow run on a shared host does not decide it.
+        repeats = 3 if target == _gated_target() else 1
+        graph, fast_s = _timed(build_ldel, sc.points, repeats=repeats)
+        holes, holes_s = _timed(find_holes, graph, repeats=repeats)
 
         ref_s = holes_ref_s = None
         if sc.n <= REF_MAX_N:
             # The speed comparisons are only meaningful if both paths built
             # the same graph and the same holes.
-            ref, ref_s = _timed(build_ldel_reference, sc.points)
+            ref, ref_s = _timed(build_ldel_reference, sc.points, repeats=repeats)
             assert ref.adjacency == graph.adjacency
             assert ref.triangles == graph.triangles
-            holes_ref, holes_ref_s = _timed(find_holes_reference, graph)
+            holes_ref, holes_ref_s = _timed(
+                find_holes_reference, graph, repeats=repeats
+            )
             assert _hole_rows(holes) == _hole_rows(holes_ref)
 
         abst, abstraction_s = _timed(build_abstraction, graph)

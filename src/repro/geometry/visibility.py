@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -66,21 +66,26 @@ __all__ = [
 #: kernel: bounds peak memory on long hole rings without changing a result.
 INTERIOR_BUDGET = 65536
 
+#: Element budget of one (sight line × obstacle segment) mark array in the
+#: grid candidate join, for the same reason.
+JOIN_BUDGET = 65536
+
 
 class SegmentGrid:
     """Uniform grid over obstacle segments for sight-line candidate pruning.
 
-    Each segment is registered in every cell its bounding box overlaps.  A
-    sight-line query samples points along the line at spacing at most one
-    cell and collects the segments registered in the 3×3 cell neighborhood
-    of each sample.  This candidate set is *complete* for proper crossings:
-    if obstacle segment ``s`` properly crosses sight line ``pq`` at point
-    ``X``, then ``X`` lies on ``s`` (so ``X``'s cell is one of ``s``'s
-    registered cells) and ``X`` lies on ``pq`` within half a cell of some
-    sample (so ``X``'s cell is within Chebyshev distance 1 of that sample's
-    cell).  Extra candidates are harmless — they still go through the exact
-    crossing predicate — so the pruned test agrees with the full scan on
-    every pair.
+    Each segment is registered in every cell of its bounding box grown by
+    one ring of cells.  A sight-line query samples points along the line at
+    spacing at most one cell and collects the segments registered in each
+    sample's cell — exactly the segments whose bounding-box cells meet the
+    sample's 3×3 cell neighborhood.  This candidate set is *complete* for
+    proper crossings: if obstacle segment ``s`` properly crosses sight line
+    ``pq`` at point ``X``, then ``X`` lies on ``s`` (so ``X``'s cell is in
+    ``s``'s bounding box) and ``X`` lies on ``pq`` within half a cell of
+    some sample (so that sample's cell is within Chebyshev distance 1 of
+    ``X``'s cell, where ``s`` is registered).  Extra candidates are
+    harmless — they still go through the exact crossing predicate — so the
+    pruned test agrees with the full scan on every pair.
     """
 
     def __init__(self, segments: np.ndarray, cell: float | None = None) -> None:
@@ -106,14 +111,16 @@ class SegmentGrid:
         if k == 0:
             return
         inv = 1.0 / self.cell
+        # Bounding-box cells grown by one ring: one bucket is then the union
+        # of the 3×3 neighborhood of bounding-box registrations.
         x0 = np.floor(np.minimum(self.segments[:, 0], self.segments[:, 2]) * inv)
         x1 = np.floor(np.maximum(self.segments[:, 0], self.segments[:, 2]) * inv)
         y0 = np.floor(np.minimum(self.segments[:, 1], self.segments[:, 3]) * inv)
         y1 = np.floor(np.maximum(self.segments[:, 1], self.segments[:, 3]) * inv)
-        x0 = x0.astype(np.int64)
-        x1 = x1.astype(np.int64)
-        y0 = y0.astype(np.int64)
-        y1 = y1.astype(np.int64)
+        x0 = x0.astype(np.int64) - 1
+        x1 = x1.astype(np.int64) + 1
+        y0 = y0.astype(np.int64) - 1
+        y1 = y1.astype(np.int64) + 1
         self._ox = int(x0.min())
         self._oy = int(y0.min())
         self._stride = int(y1.max()) - self._oy + 1
@@ -137,65 +144,70 @@ class SegmentGrid:
 
     def candidates(self, p: Sequence[float], q: Sequence[float]) -> np.ndarray:
         """Indices of segments that could properly cross sight line ``pq``."""
-        _, sid = self._candidate_pairs(
+        # One line is one chunk, its segment ids sorted and unique.
+        pairs = self._candidate_pairs(
             np.asarray([p], dtype=np.float64), np.asarray([q], dtype=np.float64)
         )
-        return np.unique(sid)
+        return next((sid for _, sid in pairs), np.zeros(0, dtype=np.int64))
 
     def _candidate_pairs(
         self, pa: np.ndarray, qa: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
+    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """Deduplicated ``(query_id, segment_id)`` candidate pairs for a batch
         of sight lines — the grid join described in the class docstring,
-        built without a Python loop over queries."""
-        empty = np.zeros(0, dtype=np.int64)
+        built without a Python loop over queries.
+
+        Yields one chunk of lines at a time, in line order, each chunk's
+        pairs sorted by ``(query_id, segment_id)``.  A chunk holds at most
+        ``JOIN_BUDGET // k`` lines (at least one), which bounds its
+        (line × segment) mark array.
+        """
         m = len(pa)
-        if m == 0 or len(self.segments) == 0:
-            return empty, empty
+        k = len(self.segments)
+        if m == 0 or k == 0:
+            return
         inv = 1.0 / self.cell
-        dx = qa[:, 0] - pa[:, 0]
-        dy = qa[:, 1] - pa[:, 1]
-        length = np.hypot(dx, dy)
-        ns = np.maximum(1, np.ceil(length * inv).astype(np.int64))
-        tot = int(ns.sum())
-        qid = np.repeat(np.arange(m, dtype=np.int64), ns)
-        local = np.arange(tot, dtype=np.int64) - np.repeat(np.cumsum(ns) - ns, ns)
-        t = (local.astype(np.float64) + 0.5) / np.repeat(ns, ns)
-        sx = pa[qid, 0] + t * dx[qid]
-        sy = pa[qid, 1] + t * dy[qid]
-        cx = np.floor(sx * inv).astype(np.int64) - self._ox
-        cy = np.floor(sy * inv).astype(np.int64) - self._oy
-
-        pair_qid: list[np.ndarray] = []
-        pair_sid: list[np.ndarray] = []
         nu = len(self._ukeys)
-        for ddx in (-1, 0, 1):
-            for ddy in (-1, 0, 1):
-                ex = cx + ddx
-                ey = cy + ddy
-                valid = (ey >= 0) & (ey < self._stride) & (ex >= 0)
-                key = np.where(valid, ex * self._stride + ey, np.int64(-1))
-                idx = np.clip(np.searchsorted(self._ukeys, key), 0, nu - 1)
-                hit = (self._ukeys[idx] == key) & valid
-                cnt = np.where(hit, self._counts[idx], 0)
-                total = int(cnt.sum())
-                if total == 0:
-                    continue
-                pair_qid.append(np.repeat(qid, cnt))
-                offs = np.arange(total, dtype=np.int64) - np.repeat(
-                    np.cumsum(cnt) - cnt, cnt
-                )
-                pair_sid.append(self._segids[np.repeat(self._starts[idx], cnt) + offs])
-        if not pair_qid:
-            return empty, empty
-        pq = np.concatenate(pair_qid)
-        ps = np.concatenate(pair_sid)
-        packed = np.unique(pq * np.int64(len(self.segments)) + ps)
-        return packed // len(self.segments), packed % len(self.segments)
+        per = max(1, JOIN_BUDGET // k)
+        for lo in range(0, m, per):
+            hi = min(m, lo + per)
+            p = pa[lo:hi]
+            dx = qa[lo:hi, 0] - p[:, 0]
+            dy = qa[lo:hi, 1] - p[:, 1]
+            length = np.hypot(dx, dy)
+            ns = np.maximum(1, np.ceil(length * inv).astype(np.int64))
+            tot = int(ns.sum())
+            qid = np.repeat(np.arange(hi - lo, dtype=np.int64), ns)
+            local = np.arange(tot, dtype=np.int64) - np.repeat(np.cumsum(ns) - ns, ns)
+            t = (local.astype(np.float64) + 0.5) / np.repeat(ns, ns)
+            sx = p[qid, 0] + t * dx[qid]
+            sy = p[qid, 1] + t * dy[qid]
+            cx = np.floor(sx * inv).astype(np.int64) - self._ox
+            cy = np.floor(sy * inv).astype(np.int64) - self._oy
+            valid = (cy >= 0) & (cy < self._stride) & (cx >= 0)
+            qid = qid[valid]
+            key = cx[valid] * self._stride + cy[valid]
+            # A line's cells are monotone in x and y, so its repeated cells
+            # are consecutive samples: keep the first of each run.
+            first = np.ones(len(key), dtype=bool)
+            first[1:] = (key[1:] != key[:-1]) | (qid[1:] != qid[:-1])
+            qid = qid[first]
+            key = key[first]
+            idx = np.clip(np.searchsorted(self._ukeys, key), 0, nu - 1)
+            cnt = np.where(self._ukeys[idx] == key, self._counts[idx], 0)
+            total = int(cnt.sum())
+            if total == 0:
+                continue
+            offs = np.arange(total, dtype=np.int64) - np.repeat(
+                np.cumsum(cnt) - cnt, cnt
+            )
+            sid = self._segids[np.repeat(self._starts[idx], cnt) + offs]
+            mark = np.zeros((hi - lo) * k, dtype=bool)
+            mark[np.repeat(qid, cnt) * k + sid] = True
+            pairs = np.flatnonzero(mark)
+            yield lo + pairs // k, pairs % k
 
-    def crossing_mask(
-        self, pa: np.ndarray, qa: np.ndarray, chunk: int = 4096
-    ) -> np.ndarray:
+    def crossing_mask(self, pa: np.ndarray, qa: np.ndarray) -> np.ndarray:
         """Element-wise: does sight line ``i`` properly cross any segment?
 
         Equal to ``segments_intersect_batch(pa, qa, self.segments)`` — the
@@ -205,22 +217,15 @@ class SegmentGrid:
         """
         pa = as_array(pa)
         qa = as_array(qa)
-        m = len(pa)
-        out = np.zeros(m, dtype=bool)
-        if m == 0 or len(self.segments) == 0:
-            return out
-        for lo in range(0, m, chunk):
-            hi = min(m, lo + chunk)
-            qid, sid = self._candidate_pairs(pa[lo:hi], qa[lo:hi])
-            if len(qid) == 0:
-                continue
+        out = np.zeros(len(pa), dtype=bool)
+        for qid, sid in self._candidate_pairs(pa, qa):
             proper = proper_crossing_mask(
-                pa[lo + qid],
-                qa[lo + qid],
+                pa[qid],
+                qa[qid],
                 self.segments[sid, 0:2],
                 self.segments[sid, 2:4],
             )
-            out[lo + qid[proper]] = True
+            out[qid[proper]] = True
         return out
 
 
@@ -596,7 +601,6 @@ def visible_mask(
     segments: np.ndarray | None = None,
     bboxes: np.ndarray | None = None,
     grid: SegmentGrid | None = None,
-    chunk: int = 4096,
 ) -> np.ndarray:
     """Batched :func:`is_visible` over ``m`` candidate sight lines.
 
@@ -617,7 +621,7 @@ def visible_mask(
         grid = SegmentGrid(segs)
     if bboxes is None:
         bboxes = obstacle_bboxes(obstacles)
-    crossed = grid.crossing_mask(pa, qa, chunk=chunk)
+    crossed = grid.crossing_mask(pa, qa)
     out = np.zeros(len(pa), dtype=bool)
     free = np.flatnonzero(~crossed)
     inside = _runs_inside_bulk(pa[free], qa[free], obstacles, bboxes)

@@ -120,8 +120,8 @@ class EngineStats:
     #: cache name -> {"survived": int, "evicted": int}, accumulated over
     #: every flush; every flush evicts everything, so ``survived`` is 0
     flush: dict[str, dict[str, int]] = field(default_factory=dict)
-    #: description of the most recent flush: ``reason`` and the per-cache
-    #: survived/evicted counts of that single pass
+    #: the most recent flush: per-cache survived/evicted counts of that
+    #: single pass
     last_flush: dict[str, Any] | None = None
 
     def record(self, cache: str, hit: bool) -> None:
@@ -288,11 +288,10 @@ class QueryEngine:
         self.abstraction = abstraction
         self.udg = abstraction.graph.adjacency if udg is None else udg
         self._digest = abstraction_digest(abstraction)
-        self.stats.last_flush = {"reason": "rebind", "caches": detail}
+        self.stats.last_flush = {"caches": detail}
         if self.caching and self.trace is not None:
             self.trace.emit(
                 "engine_invalidate",
-                reason="rebind",
                 old_digest=old_digest,
                 new_digest=self._digest,
                 evicted=sum(r["evicted"] for r in detail.values()),

@@ -33,7 +33,7 @@ from ..core.abstraction import Abstraction
 from ..geometry.primitives import distance
 from ..graphs.shortest_paths import euclidean_shortest_path
 from .bay_routing import BayLocation, bay_waypoint_structures, locate_node
-from .chew import chew_route
+from .chew import TriangleIndex, chew_route
 from .waypoints import WaypointPlanner
 
 __all__ = ["HybridRouter", "RouteOutcome"]
@@ -106,7 +106,7 @@ class HybridRouter:
             if locator is not None
             else lambda node: locate_node(self.abstraction, node)
         )
-        self._tri_of_edge = self._build_tri_of_edge()
+        self._triangles = TriangleIndex.build(self.graph)
 
         if mode == "hull":
             vertices = abstraction.hull_nodes()
@@ -123,14 +123,6 @@ class HybridRouter:
             bay_groups=bay_groups,
             bay_arc_edges=bay_arcs,
         )
-
-    def _build_tri_of_edge(self):
-        out: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
-        for tri in self.graph.triangles:
-            a, b, c = tri
-            for e in ((a, b), (b, c), (a, c)):
-                out.setdefault(e, []).append(tri)
-        return out
 
     # -- case analysis (§4.3) ------------------------------------------------------
     def classify(self, s: int, t: int) -> tuple[str, BayLocation | None, BayLocation | None]:
@@ -154,7 +146,7 @@ class HybridRouter:
         """Route a message from node ``s`` to node ``t``."""
         case, loc_s, loc_t = self.classify(s, t)
 
-        first = chew_route(self.graph, s, t, tri_of_edge=self._tri_of_edge)
+        first = chew_route(self.graph, s, t, index=self._triangles)
         if first.reached:
             return RouteOutcome(
                 source=s,
@@ -204,7 +196,7 @@ class HybridRouter:
                     current = leg.dst
                     continue
                 res = chew_route(
-                    self.graph, leg.src, leg.dst, tri_of_edge=self._tri_of_edge
+                    self.graph, leg.src, leg.dst, index=self._triangles
                 )
                 outcome.chew_legs += 1
                 outcome.path.extend(res.path[1:])

@@ -13,6 +13,8 @@ See ``docs/performance.md`` for the pruning-correctness arguments each fast
 path relies on.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,6 +28,7 @@ from repro.geometry.delaunay import (
     locate_point_reference,
 )
 from repro.geometry import visibility
+from repro.geometry.predicates import segments_intersect_batch
 from repro.geometry.visibility import (
     SegmentGrid,
     _piece_inside,
@@ -307,6 +310,112 @@ class TestVisibilityEquivalence:
             for sid, (ax, ay, bx, by) in enumerate(segs):
                 if segments_properly_intersect(p, q, (ax, ay), (bx, by)):
                     assert sid in cand
+
+
+# -- the one-lookup grid join -------------------------------------------------
+
+
+def _naive_grid_pairs(grid, pa, qa) -> list[tuple[int, int]]:
+    """The 3×3-neighbourhood join, one sample at a time: segments register
+    in their bounding-box cells, and each sample collects the nine cells
+    around its own.  Samples are the grid's: ``max(1, ceil(len / cell))``
+    of them at ``t = (j + 0.5) / ns``."""
+    inv = 1.0 / grid.cell
+    cells: dict[tuple[int, int], set[int]] = {}
+    for sid, (ax, ay, bx, by) in enumerate(grid.segments.tolist()):
+        for cx in range(math.floor(min(ax, bx) * inv), math.floor(max(ax, bx) * inv) + 1):
+            for cy in range(math.floor(min(ay, by) * inv), math.floor(max(ay, by) * inv) + 1):
+                cells.setdefault((cx, cy), set()).add(sid)
+    pairs = set()
+    for qid, ((px, py), (qx, qy)) in enumerate(zip(pa.tolist(), qa.tolist())):
+        dx, dy = qx - px, qy - py
+        ns = max(1, math.ceil(float(np.hypot(dx, dy)) * inv))
+        for j in range(ns):
+            t = (j + 0.5) / ns
+            cx = math.floor((px + t * dx) * inv)
+            cy = math.floor((py + t * dy) * inv)
+            for ddx in (-1, 0, 1):
+                for ddy in (-1, 0, 1):
+                    pairs.update((qid, sid) for sid in cells.get((cx + ddx, cy + ddy), ()))
+    return sorted(pairs)
+
+
+def _grid_pairs(grid, pa, qa) -> list[tuple[int, int]]:
+    out = []
+    for qid, sid in grid._candidate_pairs(pa, qa):
+        out += zip(qid.tolist(), sid.tolist())
+    return out
+
+
+# Unit cells; segments in the first row and column (cell 0 on both axes)
+# and one far away, so grown buckets reach below and left of the origin.
+_UNIT_SEGMENTS = np.array(
+    [
+        [0.0, 0.0, 0.9, 0.0],
+        [0.0, 0.2, 0.0, 2.5],
+        [0.5, 0.5, 1.0, 1.0],
+        [3.0, 1.0, 3.0, 2.0],
+        [6.5, 6.5, 8.0, 7.25],
+    ]
+)
+
+
+def _cell_border_lines() -> tuple[np.ndarray, np.ndarray]:
+    # Length-4 lines starting half a cell off a border: every sample
+    # (t = (j + 0.5) / 4) lands exactly on an integer coordinate.
+    ys = [-1.0, 0.0, 1.0, 2.0, 3.0]
+    pa = [[-0.5, y] for y in ys] + [[y, -0.5] for y in ys] + [[-0.5, -0.5]]
+    qa = [[3.5, y] for y in ys] + [[y, 3.5] for y in ys] + [[3.5, 3.5]]
+    return np.array(pa), np.array(qa)
+
+
+def _grid_lines() -> tuple[np.ndarray, np.ndarray]:
+    rng = np.random.default_rng(31)
+    pa = rng.uniform(-2.0, 9.0, size=(300, 2))
+    qa = rng.uniform(-2.0, 9.0, size=(300, 2))
+    bpa, bqa = _cell_border_lines()
+    # Zero-length sight lines, on a segment, on a border and off the grid.
+    pts = np.array([[0.5, 0.0], [1.0, 1.0], [0.0, 0.0], [-3.0, -3.0], [20.0, 2.0]])
+    return np.vstack([pa, bpa, pts]), np.vstack([qa, bqa, pts])
+
+
+class TestGridJoinEquivalence:
+    """``SegmentGrid._candidate_pairs`` (one lookup per sample in buckets
+    grown by one ring, run-dropped samples, mark-array dedup) ≡ the naive
+    3×3-neighbourhood join: the same pair set, not just a complete one."""
+
+    @pytest.mark.parametrize("budget", [1, 5, 65536])
+    def test_unit_grid_pairs(self, budget, monkeypatch):
+        monkeypatch.setattr(visibility, "JOIN_BUDGET", budget)
+        grid = SegmentGrid(_UNIT_SEGMENTS, cell=1.0)
+        pa, qa = _grid_lines()
+        assert _grid_pairs(grid, pa, qa) == _naive_grid_pairs(grid, pa, qa)
+        assert (
+            grid.crossing_mask(pa, qa) == segments_intersect_batch(pa, qa, grid.segments)
+        ).all()
+
+    def test_border_samples_pair_with_first_row_and_column(self):
+        grid = SegmentGrid(_UNIT_SEGMENTS, cell=1.0)
+        pa, qa = _cell_border_lines()
+        got = _grid_pairs(grid, pa, qa)
+        assert got == _naive_grid_pairs(grid, pa, qa)
+        assert {sid for _, sid in got} >= {0, 1}
+
+    @pytest.mark.parametrize("budget", [1, 65536])
+    def test_obstacle_battery_pairs(self, budget, monkeypatch):
+        monkeypatch.setattr(visibility, "JOIN_BUDGET", budget)
+        grid = SegmentGrid(obstacle_segments(_obstacle_battery(seed=21, n_obs=12, scale=16.0)))
+        rng = np.random.default_rng(32)
+        pa = rng.uniform(-1.0, 17.0, size=(150, 2))
+        qa = rng.uniform(-1.0, 17.0, size=(150, 2))
+        assert _grid_pairs(grid, pa, qa) == _naive_grid_pairs(grid, pa, qa)
+
+    def test_empty_grid(self):
+        grid = SegmentGrid(np.zeros((0, 4)))
+        pa, qa = _grid_lines()
+        assert _grid_pairs(grid, pa, qa) == []
+        assert not grid.crossing_mask(pa, qa).any()
+        assert len(grid.candidates(pa[0], qa[0])) == 0
 
 
 # -- the array interior kernel -------------------------------------------------

@@ -142,3 +142,19 @@ class TestScaleSlow:
         assert [
             (h.hole_id, h.boundary, h.is_outer, h.closing_edge) for h in fast.holes
         ] == [(h.hole_id, h.boundary, h.is_outer, h.closing_edge) for h in ref.holes]
+
+    def test_chew_walk_matches_reference(self, huge_instance):
+        from repro.routing.chew import (
+            TriangleIndex,
+            chew_route,
+            chew_route_reference,
+        )
+
+        sc, graph, _ = huge_instance
+        index = TriangleIndex.build(graph)
+        assert max(len(tris) for tris in index.by_edge.values()) <= 2
+        rng = np.random.default_rng(23)
+        for s, t in sample_pairs(sc.n, 60, rng):
+            got = chew_route(graph, s, t, index=index)
+            want = chew_route_reference(graph, s, t, index=index)
+            assert vars(got) == vars(want), (s, t)
