@@ -24,9 +24,10 @@ pair identically to the full scan; :func:`is_visible_reference` and
 :func:`visible_mask_reference` keep the full-scan implementations as the
 differential oracles (``tests/test_fastpath_equivalence.py``).  The second
 half of the test — does some piece of an uncrossed sight line run strictly
-inside an obstacle? — runs in :func:`visible_mask` as an array kernel over
-(sight line × polygon edge) blocks, with the scalar :func:`_piece_inside`
-walk kept as its reference.
+inside an obstacle? — runs in :func:`visible_mask` as one array pass over
+every obstacle at once, reading the rings from :class:`FlatRings` (flat
+edge arrays built once per obstacle set), with the scalar
+:func:`_piece_inside` walk kept as its reference.
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ __all__ = [
     "obstacle_segments",
     "obstacle_bboxes",
     "SegmentGrid",
+    "FlatRings",
     "is_visible",
     "is_visible_reference",
     "visible_mask",
@@ -62,8 +64,9 @@ __all__ = [
     "VisibilityGraph",
 ]
 
-#: Element budget of one (sight line × polygon edge) block in the interior
-#: kernel: bounds peak memory on long hole rings without changing a result.
+#: Element budget of one block in the interior pass — (sight line × ring
+#: box) in the slab test, (pair × ring edge) in the cut and midpoint tests:
+#: bounds peak memory on long hole rings without changing a result.
 INTERIOR_BUDGET = 65536
 
 #: Element budget of one (sight line × obstacle segment) mark array in the
@@ -385,205 +388,261 @@ def _runs_inside(
     return False
 
 
-def _runs_inside_bulk(
-    pa: np.ndarray,
-    qa: np.ndarray,
-    obstacles: Sequence[Sequence[Sequence[float]]],
-    bboxes: np.ndarray,
-) -> np.ndarray:
-    """Batched :func:`_runs_inside` over ``m`` segments.
+class FlatRings:
+    """The rings of one obstacle set as flat edge arrays, built once.
 
-    The segment-versus-obstacle-box rejection runs as one numpy mask per
-    obstacle; the segments that enter an obstacle's box go through
-    :func:`_pieces_inside`, the array form of :func:`_piece_inside`, which
-    makes the identical per-pair decision, so the result equals a Python
-    loop of :func:`_runs_inside` calls element-wise.
+    The interior pass reads every obstacle from here instead of looping over
+    polygons.  Rings with fewer than 3 vertices are dropped, as the scalar
+    walk skips them; the others keep their row of ``bboxes`` (their index
+    into the obstacle list), so ``boxes[r]`` is ring ``r``'s box.  Ring
+    ``r``'s edges are the flat indices ``starts[r] : starts[r] + counts[r]``
+    in ring order.  Edge ``f`` runs from vertex ``(ax, ay)`` by
+    ``(ex, ey)`` to the next vertex, and ``(jx, jy)`` is the previous
+    vertex, the ``j`` end of the ray cast's edge ``(j, i)``.
+    """
+
+    def __init__(
+        self,
+        obstacles: Sequence[Sequence[Sequence[float]]],
+        bboxes: np.ndarray | None = None,
+    ) -> None:
+        if bboxes is None:
+            bboxes = obstacle_bboxes(obstacles)
+        ids = [i for i, poly in enumerate(obstacles) if len(poly) >= 3]
+        polys = [as_array(obstacles[i]) for i in ids]
+        self.boxes = np.asarray(bboxes, dtype=np.float64).reshape(-1, 4)[ids]
+        self.counts = np.array([len(p) for p in polys], dtype=np.int64)
+        self.starts = np.cumsum(self.counts) - self.counts
+        if polys:
+            a = np.vstack(polys)
+            nxt = np.vstack([np.concatenate((p[1:], p[:1])) for p in polys])
+            prv = np.vstack([np.concatenate((p[-1:], p[:-1])) for p in polys])
+        else:
+            a = nxt = prv = np.zeros((0, 2))
+        self.ax = a[:, 0]
+        self.ay = a[:, 1]
+        self.ex = nxt[:, 0] - self.ax
+        self.ey = nxt[:, 1] - self.ay
+        self.jx = prv[:, 0]
+        self.jy = prv[:, 1]
+        self.len_sq = self.ex * self.ex + self.ey * self.ey
+
+
+def _ring_edges(
+    ring: np.ndarray, rings: FlatRings, budget: int
+) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
+    """Every edge of each item's ring, as ``(item, flat edge)`` pairs.
+
+    ``ring[i]`` is item ``i``'s ring.  Yields ``(lo, hi, item, edge)`` for
+    consecutive item ranges ``[lo, hi)`` holding at most ``budget`` pairs
+    (at least one item), items ascending and each item's edges in ring
+    order.
+    """
+    cnt = rings.counts[ring]
+    ends = np.cumsum(cnt)
+    lo = 0
+    while lo < len(cnt):
+        top = int(ends[lo] - cnt[lo]) + budget
+        hi = max(lo + 1, int(np.searchsorted(ends, top, side="right")))
+        c = cnt[lo:hi]
+        offs = np.cumsum(c) - c
+        item = np.repeat(np.arange(lo, hi), c)
+        edge = np.repeat(rings.starts[ring[lo:hi]] - offs, c) + np.arange(len(item))
+        yield lo, hi, item, edge
+        lo = hi
+
+
+def _runs_inside_bulk(
+    pa: np.ndarray, qa: np.ndarray, rings: FlatRings
+) -> np.ndarray:
+    """Batched :func:`_runs_inside` over ``m`` segments and every obstacle.
+
+    One pass over all obstacles: a slab test over the (segment × ring box)
+    block picks the pairs whose segment enters a box, and
+    :func:`_pairs_inside` decides every such pair at once.  Each pair gets
+    the decision :func:`_piece_inside` makes, so the result equals a Python
+    loop of :func:`_runs_inside` calls element-wise.  No block holds more
+    than ``INTERIOR_BUDGET`` elements.
     """
     m = len(pa)
     out = np.zeros(m, dtype=bool)
-    if m == 0:
+    nr = len(rings.counts)
+    if m == 0 or nr == 0:
         return out
+    budget = INTERIOR_BUDGET
     dx = qa[:, 0] - pa[:, 0]
     dy = qa[:, 1] - pa[:, 1]
+    # Liang–Barsky slab test: does segment j actually enter the ring's
+    # (slightly padded) bounding box?  Any piece of the segment strictly
+    # inside the polygon lies inside the box, so this rejection is
+    # conservative-exact — stronger than comparing the two bounding boxes,
+    # which passes every long diagonal sight line whose box merely
+    # overlaps the obstacle's.
     pad = 1e-9
-    for idx, poly in enumerate(obstacles):
-        if len(poly) < 3:
-            continue
-        bxmin, bymin, bxmax, bymax = bboxes[idx]
-        # Liang–Barsky slab test: does segment j actually enter the
-        # obstacle's (slightly padded) bounding box?  Any piece of the
-        # segment strictly inside the polygon lies inside the box, so this
-        # rejection is conservative-exact — stronger than comparing the two
-        # bounding boxes, which passes every long diagonal sight line whose
-        # box merely overlaps the obstacle's.
-        lo, hi = _slab_interval(
-            pa, dx, dy, bxmin - pad, bymin - pad, bxmax + pad, bymax + pad
+    bxmin = rings.boxes[:, 0] - pad
+    bymin = rings.boxes[:, 1] - pad
+    bxmax = rings.boxes[:, 2] + pad
+    bymax = rings.boxes[:, 3] + pad
+    per = max(1, budget // nr)
+    for lo in range(0, m, per):
+        hi = min(m, lo + per)
+        t_lo, t_hi = _slab_interval(
+            pa[lo:hi, 0:1], pa[lo:hi, 1:2], dx[lo:hi, None], dy[lo:hi, None],
+            bxmin, bymin, bxmax, bymax,
         )
-        enters = np.flatnonzero((lo <= hi) & ~out)
-        if len(enters):
-            out[enters] = _pieces_inside(
-                pa[enters], qa[enters], as_array(poly), INTERIOR_BUDGET
-            )
+        line, ring = np.nonzero(t_lo <= t_hi)
+        if len(line):
+            line += lo
+            out[line[_pairs_inside(pa, dx, dy, line, ring, rings, budget)]] = True
     return out
 
 
-def _pieces_inside(
-    pa: np.ndarray, qa: np.ndarray, poly: np.ndarray, budget: int
+def _pairs_inside(
+    pa: np.ndarray,
+    dx: np.ndarray,
+    dy: np.ndarray,
+    line: np.ndarray,
+    ring: np.ndarray,
+    rings: FlatRings,
+    budget: int,
 ) -> np.ndarray:
-    """:func:`_piece_inside` for ``m`` segments against one polygon.
+    """:func:`_piece_inside` for each (segment ``line[i]``, ring ``ring[i]``)
+    pair, segment ``j`` running from ``pa[j]`` by ``(dx[j], dy[j])``.
 
-    ``budget`` caps the elements of one (segment × polygon edge) block.
     Three array steps replace the scalar walk: the boundary cuts of every
-    (segment, edge) pair, the pieces between each segment's sorted cuts,
-    and the strict-interior test of each piece's midpoint.  Every float
-    expression is the one :func:`segment_polygon_intersections`,
-    :func:`_piece_inside`, :func:`_strictly_inside` and
-    :func:`point_on_polygon_boundary` evaluate, in the same operation
-    order, so each decision is equal to the scalar one, not just close.
-    Divisions are taken only where the scalar code divides (elsewhere
-    the divisor is replaced by 1.0 or the entry is never formed).
+    (pair, ring edge) element, the pieces between each pair's sorted cuts,
+    and the strict-interior test of each piece's midpoint against its own
+    ring.  Every float expression is the one
+    :func:`segment_polygon_intersections`, :func:`_piece_inside`,
+    :func:`_strictly_inside` and :func:`point_on_polygon_boundary`
+    evaluate, in the same operation order, so each decision is equal to the
+    scalar one, not just close.  Divisions are taken only where the scalar
+    code divides (elsewhere the divisor is replaced by 1.0).
     """
-    k = len(poly)
-    m = len(pa)
-    ax = poly[:, 0]
-    ay = poly[:, 1]
-    nxt = np.concatenate((poly[1:], poly[:1]))
-    ex = nxt[:, 0] - ax
-    ey = nxt[:, 1] - ay
-    dx = qa[:, 0] - pa[:, 0]
-    dy = qa[:, 1] - pa[:, 1]
-    rows_list: list[np.ndarray] = []
-    cuts_list: list[np.ndarray] = []
-    per = max(1, budget // k)
-    for lo in range(0, m, per):
-        hi = min(m, lo + per)
-        px = pa[lo:hi, 0:1]
-        py = pa[lo:hi, 1:2]
-        bdx = dx[lo:hi, None]
-        bdy = dy[lo:hi, None]
+    npair = len(line)
+    pair_parts: list[np.ndarray] = []
+    cut_parts: list[np.ndarray] = []
+    for _, _, pair, f in _ring_edges(ring, rings, budget):
+        seg = line[pair]
+        bdx = dx[seg]
+        bdy = dy[seg]
+        ex = rings.ex[f]
+        ey = rings.ey[f]
         denom = bdx * ey - bdy * ex
         live = ~(np.abs(denom) < EPS)
         safe = np.where(live, denom, 1.0)
-        rx = ax - px
-        ry = ay - py
+        rx = rings.ax[f] - pa[seg, 0]
+        ry = rings.ay[f] - pa[seg, 1]
         t = (rx * ey - ry * ex) / safe
         s = (rx * bdy - ry * bdx) / safe
         cut = live & (-EPS <= t) & (t <= 1 + EPS) & (-EPS <= s) & (s <= 1 + EPS)
-        r, _ = np.nonzero(cut)
-        rows_list.append(lo + r)
-        cuts_list.append(t[cut])
-    # Each segment's cut list is [0, 1] plus its boundary contacts; sorting
-    # by (segment, t) lays every list out in order, and consecutive entries
-    # of one segment bound its pieces.
-    rows = np.concatenate([np.arange(m), np.arange(m), *rows_list])
-    cuts = np.concatenate([np.zeros(m), np.ones(m), *cuts_list])
+        pair_parts.append(pair[cut])
+        cut_parts.append(t[cut])
+    # Each pair's cut list is [0, 1] plus its boundary contacts; sorting by
+    # (pair, t) lays every list out in order, and consecutive entries of
+    # one pair bound its pieces.
+    rows = np.concatenate([np.arange(npair), np.arange(npair), *pair_parts])
+    cuts = np.concatenate([np.zeros(npair), np.ones(npair), *cut_parts])
     order = np.lexsort((cuts, rows))
     rows = rows[order]
     cuts = cuts[order]
     same = rows[1:] == rows[:-1]
     t0 = cuts[:-1][same]
     t1 = cuts[1:][same]
-    piece_rows = rows[1:][same]
+    piece_pairs = rows[1:][same]
     keep = ~(t1 - t0 < 1e-9)
-    piece_rows = piece_rows[keep]
+    piece_pairs = piece_pairs[keep]
     tm = (t0[keep] + t1[keep]) / 2.0
-    sx = pa[piece_rows, 0] + tm * dx[piece_rows]
-    sy = pa[piece_rows, 1] + tm * dy[piece_rows]
-    out = np.zeros(m, dtype=bool)
-    out[piece_rows[_strictly_inside_mask(sx, sy, poly, budget)]] = True
+    seg = line[piece_pairs]
+    sx = pa[seg, 0] + tm * dx[seg]
+    sy = pa[seg, 1] + tm * dy[seg]
+    out = np.zeros(npair, dtype=bool)
+    inside = _strictly_inside_rings(sx, sy, ring[piece_pairs], rings, budget)
+    out[piece_pairs[inside]] = True
     return out
 
 
-def _strictly_inside_mask(
-    x: np.ndarray, y: np.ndarray, poly: np.ndarray, budget: int
+def _strictly_inside_rings(
+    x: np.ndarray,
+    y: np.ndarray,
+    ring: np.ndarray,
+    rings: FlatRings,
+    budget: int,
 ) -> np.ndarray:
-    """:func:`_strictly_inside` for ``m`` sample points against one polygon.
+    """:func:`_strictly_inside` for each point ``(x[i], y[i])`` against its
+    own ring ``ring[i]``.
 
     The ray cast forms ``x_cross`` only for straddling edges (where the
     scalar loop forms it, so there is no zero divisor) and takes its parity
-    per point; the boundary check runs only on odd-parity points, as the
-    scalar function defers it.
+    per point by ``bincount``; the :func:`point_on_polygon_boundary` check
+    (default ``tol``) runs only on odd-parity points, as the scalar
+    function defers it.
     """
     m = len(x)
-    out = np.zeros(m, dtype=bool)
-    if m == 0:
-        return out
-    k = len(poly)
-    xi = poly[:, 0]
-    yi = poly[:, 1]
-    xj = np.concatenate((xi[-1:], xi[:-1]))
-    yj = np.concatenate((yi[-1:], yi[:-1]))
-    per = max(1, budget // k)
-    odd_parts: list[np.ndarray] = []
-    for lo in range(0, m, per):
-        bx = x[lo : lo + per]
-        by = y[lo : lo + per, None]
-        r, e = np.nonzero((yi > by) != (yj > by))
-        x_cross = xi[e] + (by[r, 0] - yi[e]) / (yj[e] - yi[e]) * (xj[e] - xi[e])
-        hits = np.bincount(r[bx[r] < x_cross], minlength=len(bx))
-        odd_parts.append(lo + np.flatnonzero(hits % 2 == 1))
-    odd = np.concatenate(odd_parts)
-    out[odd] = ~_on_boundary_mask(x[odd], y[odd], poly, budget)
-    return out
-
-
-def _on_boundary_mask(
-    x: np.ndarray, y: np.ndarray, poly: np.ndarray, budget: int
-) -> np.ndarray:
-    """:func:`point_on_polygon_boundary` (default ``tol``) for ``m`` points
-    against one polygon."""
+    hits = np.zeros(m, dtype=np.int64)
+    for lo, hi, item, f in _ring_edges(ring, rings, budget):
+        py = y[item]
+        yi = rings.ay[f]
+        yj = rings.jy[f]
+        straddle = (yi > py) != (yj > py)
+        item = item[straddle]
+        f = f[straddle]
+        yi = yi[straddle]
+        xi = rings.ax[f]
+        x_cross = xi + (py[straddle] - yi) / (rings.jy[f] - yi) * (rings.jx[f] - xi)
+        hits[lo:hi] += np.bincount(
+            item[x[item] < x_cross] - lo, minlength=hi - lo
+        )
+    odd = np.flatnonzero(hits % 2 == 1)
     tol = 1e-9
-    out = np.zeros(len(x), dtype=bool)
-    k = len(poly)
-    ax = poly[:, 0]
-    ay = poly[:, 1]
-    nxt = np.concatenate((poly[1:], poly[:1]))
-    vx = nxt[:, 0] - ax
-    vy = nxt[:, 1] - ay
-    seg_len_sq = vx * vx + vy * vy
-    point_edge = seg_len_sq < EPS
-    safe_len = np.where(point_edge, 1.0, seg_len_sq)
-    per = max(1, budget // k)
-    for lo in range(0, len(x), per):
-        wx = x[lo : lo + per, None] - ax
-        wy = y[lo : lo + per, None] - ay
+    near = np.zeros(len(odd), dtype=bool)
+    for _, _, item, f in _ring_edges(ring[odd], rings, budget):
+        wx = x[odd[item]] - rings.ax[f]
+        wy = y[odd[item]] - rings.ay[f]
+        vx = rings.ex[f]
+        vy = rings.ey[f]
+        point_edge = rings.len_sq[f] < EPS
+        safe_len = np.where(point_edge, 1.0, rings.len_sq[f])
         t = np.maximum(0.0, np.minimum(1.0, (wx * vx + wy * vy) / safe_len))
         ddx = wx - t * vx
         ddy = wy - t * vy
-        near = np.where(
+        on_edge = np.where(
             point_edge,
             (np.abs(wx) < tol) & (np.abs(wy) < tol),
             ddx * ddx + ddy * ddy <= tol * tol,
         )
-        out[lo : lo + per] = near.any(axis=1)
+        near[item[on_edge]] = True
+    out = np.zeros(m, dtype=bool)
+    out[odd[~near]] = True
     return out
 
 
 def _slab_interval(
-    pa: np.ndarray,
+    px: np.ndarray,
+    py: np.ndarray,
     dx: np.ndarray,
     dy: np.ndarray,
-    bxmin: float,
-    bymin: float,
-    bxmax: float,
-    bymax: float,
+    bxmin: np.ndarray,
+    bymin: np.ndarray,
+    bxmax: np.ndarray,
+    bymax: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Parameter interval ``[lo, hi]`` of each segment inside a rectangle.
+    """Parameter interval ``[lo, hi]`` of each segment inside each rectangle.
 
-    Vectorized over segments ``p + t·(dx, dy)``, ``t ∈ [0, 1]``; the segment
-    meets the rectangle iff ``lo <= hi``.  Axis-parallel segments (zero
-    delta in one axis) contribute ``(-inf, inf)`` when inside that slab and
-    an empty interval otherwise.
+    Broadcasts segments ``(px, py) + t·(dx, dy)``, ``t ∈ [0, 1]``, against
+    rectangles; a segment meets a rectangle iff ``lo <= hi``.
+    Axis-parallel segments (zero delta in one axis) contribute
+    ``(-inf, inf)`` when inside that slab and an empty interval otherwise.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
-        tx1 = (bxmin - pa[:, 0]) / dx
-        tx2 = (bxmax - pa[:, 0]) / dx
-        ty1 = (bymin - pa[:, 1]) / dy
-        ty2 = (bymax - pa[:, 1]) / dy
+        tx1 = (bxmin - px) / dx
+        tx2 = (bxmax - px) / dx
+        ty1 = (bymin - py) / dy
+        ty2 = (bymax - py) / dy
     zero_x = dx == 0.0  # repro: noqa[RPR003] exact sentinel: only a true zero delta divides to ±inf/nan; near-zero deltas produce huge finite t-intervals, which the clamp to [0, 1] handles
     zero_y = dy == 0.0  # repro: noqa[RPR003] exact sentinel: same as zero_x for the y slab
-    in_x = (pa[:, 0] >= bxmin) & (pa[:, 0] <= bxmax)
-    in_y = (pa[:, 1] >= bymin) & (pa[:, 1] <= bymax)
+    in_x = (px >= bxmin) & (px <= bxmax)
+    in_y = (py >= bymin) & (py <= bymax)
     txmin = np.where(zero_x, np.where(in_x, -np.inf, np.inf), np.minimum(tx1, tx2))
     txmax = np.where(zero_x, np.where(in_x, np.inf, -np.inf), np.maximum(tx1, tx2))
     tymin = np.where(zero_y, np.where(in_y, -np.inf, np.inf), np.minimum(ty1, ty2))
@@ -598,9 +657,8 @@ def visible_mask(
     qa: np.ndarray,
     obstacles: Sequence[Sequence[Sequence[float]]],
     *,
-    segments: np.ndarray | None = None,
-    bboxes: np.ndarray | None = None,
     grid: SegmentGrid | None = None,
+    rings: FlatRings | None = None,
 ) -> np.ndarray:
     """Batched :func:`is_visible` over ``m`` candidate sight lines.
 
@@ -610,21 +668,21 @@ def visible_mask(
     the fly unless one is passed in), so each sight line is tested only
     against the obstacle segments sharing a grid neighborhood with it
     instead of all Θ(k) of them; only the surviving pairs go through the
-    array interior test.  This is the hot path of Θ(h²)
+    one-pass interior test over the obstacles' :class:`FlatRings` (likewise
+    built on the fly unless passed in).  This is the hot path of Θ(h²)
     visibility-graph construction; :func:`visible_mask_reference` keeps the
     unpruned scan as the oracle.
     """
     pa = as_array(pa)
     qa = as_array(qa)
     if grid is None:
-        segs = obstacle_segments(obstacles) if segments is None else segments
-        grid = SegmentGrid(segs)
-    if bboxes is None:
-        bboxes = obstacle_bboxes(obstacles)
+        grid = SegmentGrid(obstacle_segments(obstacles))
+    if rings is None:
+        rings = FlatRings(obstacles)
     crossed = grid.crossing_mask(pa, qa)
     out = np.zeros(len(pa), dtype=bool)
     free = np.flatnonzero(~crossed)
-    inside = _runs_inside_bulk(pa[free], qa[free], obstacles, bboxes)
+    inside = _runs_inside_bulk(pa[free], qa[free], rings)
     out[free] = ~inside
     return out
 
@@ -688,6 +746,7 @@ class VisibilityGraph:
         self._segments = obstacle_segments(self.obstacles)
         self._bboxes = obstacle_bboxes(self.obstacles)
         self._grid = SegmentGrid(self._segments)
+        self._rings = FlatRings(self.obstacles, self._bboxes)
         self.adjacency: dict[int, dict[int, float]] = {
             i: {} for i in range(len(self.vertices))
         }
@@ -700,7 +759,7 @@ class VisibilityGraph:
         ii, jj = np.triu_indices(n, k=1)
         vis = visible_mask(
             self.vertices[ii], self.vertices[jj], self.obstacles,
-            segments=self._segments, bboxes=self._bboxes, grid=self._grid,
+            grid=self._grid, rings=self._rings,
         )
         for i, j in zip(ii[vis], jj[vis]):
             i, j = int(i), int(j)

@@ -31,12 +31,12 @@ long-range control messages per request.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from ..core.abstraction import Abstraction
 from ..geometry.primitives import distance
-from ..routing.bay_routing import bay_waypoint_structures, locate_node
+from ..routing.bay_routing import LocateIndex, bay_waypoint_structures
 from ..routing.waypoints import WaypointPlanner
 from ..simulation.messages import Message
 from ..simulation.node import NodeProcess
@@ -60,6 +60,7 @@ class RoutingDirectory:
         replicates §3 (the Visibility Graph of all boundary nodes)."""
         self.abstraction = abstraction
         self.mode = mode
+        self._locate = LocateIndex(abstraction)
         if mode == "hull":
             groups, arcs = bay_waypoint_structures(abstraction)
             self.planner = WaypointPlanner(
@@ -92,7 +93,7 @@ class RoutingDirectory:
         """
         active: set[tuple[int, int]] = set()
         for v in (node, target):
-            loc = locate_node(self.abstraction, v)
+            loc = self._locate.node(v)
             if loc is not None:
                 active.add(loc.key)
         plan = self.planner.plan(node, target, active_bays=active, banned=banned)

@@ -7,6 +7,7 @@ from .face_routing import goafr_route, greedy_face_route
 from .waypoints import Leg, WaypointPath, WaypointPlanner
 from .bay_routing import (
     BayLocation,
+    LocateIndex,
     bay_waypoint_structures,
     extreme_points,
     locate_node,
@@ -41,6 +42,7 @@ __all__ = [
     "WaypointPath",
     "WaypointPlanner",
     "BayLocation",
+    "LocateIndex",
     "bay_waypoint_structures",
     "extreme_points",
     "locate_node",

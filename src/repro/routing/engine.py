@@ -9,8 +9,10 @@ owns all reusable state:
 
 * **routers** — one memoized :class:`HybridRouter` per mode, each asking
   the locate memo below for its bay classifications;
-* **locate memo** — §4.3 bay classification per node (``locate_node`` is a
-  geometric containment walk; terminals repeat across a workload);
+* **locate memo** — §4.3 bay classification per node (a miss asks
+  ``locate_node`` with the bind's :class:`LocateIndex`, whose tables are
+  built at the first miss after a bind; terminals repeat across a
+  workload);
 * **Dijkstra LRU** — per-source optimal-distance maps over the reference
   UDG, shared across strategies in a competitiveness run.  A miss runs
   Dijkstra over the UDG's edge weights, computed once per bind at the
@@ -69,7 +71,7 @@ from ..core.abstraction import Abstraction
 from ..graphs.shortest_paths import dijkstra_weighted as dijkstra
 from ..graphs.shortest_paths import WeightedAdjacency, euclidean_weights
 from ..graphs.udg import Adjacency
-from .bay_routing import BayLocation, locate_node
+from .bay_routing import BayLocation, LocateIndex, locate_node
 from .router import HybridRouter, RouteOutcome
 
 # Not called here: the router derives bay structures itself.  The name stays
@@ -249,6 +251,7 @@ class QueryEngine:
 
         self._routers: dict[str, HybridRouter] = {}
         self._locate_memo: dict[int, BayLocation | None] = {}
+        self._locate_index = LocateIndex(abstraction)
         self._dijkstra_lru: "OrderedDict[int, dict[int, float]]" = OrderedDict()
         self._udg_weights: WeightedAdjacency | None = None
         self._digest = abstraction_digest(abstraction)
@@ -286,6 +289,7 @@ class QueryEngine:
         for cache, row in detail.items():
             self.stats.record_flush(cache, row["survived"], row["evicted"])
         self.abstraction = abstraction
+        self._locate_index = LocateIndex(abstraction)
         self.udg = abstraction.graph.adjacency if udg is None else udg
         self._digest = abstraction_digest(abstraction)
         self.stats.last_flush = {"caches": detail}
@@ -309,7 +313,7 @@ class QueryEngine:
             self._record("locate", True)
             return self._locate_memo[node]
         self._record("locate", False)
-        loc = locate_node(self.abstraction, node)
+        loc = locate_node(self.abstraction, node, index=self._locate_index)
         self._locate_memo[node] = loc
         return loc
 
@@ -374,12 +378,13 @@ class QueryEngine:
         """§4.3 bay classification of ``node`` (memoized when caching).
 
         The service layer's locate queries come through here.  With
-        ``caching=False`` this is a plain :func:`locate_node` call with no
-        telemetry, mirroring the route path's determinism contract.
+        ``caching=False`` this is a plain :func:`locate_node` call on the
+        bind's :class:`LocateIndex` (which holds no memo) with no telemetry,
+        mirroring the route path's determinism contract.
         """
         node = int(node)
         if not self.caching:
-            return locate_node(self.abstraction, node)
+            return locate_node(self.abstraction, node, index=self._locate_index)
         return self._locate(node)
 
     def route_fn(

@@ -32,7 +32,7 @@ import numpy as np
 from ..core.abstraction import Abstraction
 from ..geometry.primitives import distance
 from ..graphs.shortest_paths import euclidean_shortest_path
-from .bay_routing import BayLocation, bay_waypoint_structures, locate_node
+from .bay_routing import BayLocation, LocateIndex, bay_waypoint_structures
 from .chew import TriangleIndex, chew_route
 from .waypoints import WaypointPlanner
 
@@ -81,7 +81,8 @@ class HybridRouter:
     max_replans:
         Bound on re-planning after unexpected Chew blocks.
     locator:
-        Optional replacement for :func:`locate_node` — the
+        Optional replacement for the router's own
+        :class:`~repro.routing.bay_routing.LocateIndex` — the
         :class:`~repro.routing.engine.QueryEngine` injects its memoized bay
         classifier here so repeated queries don't re-run the geometric
         location tests.  Must be observationally identical to the default.
@@ -102,9 +103,7 @@ class HybridRouter:
         self.mode = mode
         self.max_replans = max_replans
         self._locate = (
-            locator
-            if locator is not None
-            else lambda node: locate_node(self.abstraction, node)
+            locator if locator is not None else LocateIndex(abstraction).node
         )
         self._triangles = TriangleIndex.build(self.graph)
 

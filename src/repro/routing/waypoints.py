@@ -44,8 +44,8 @@ from ..core.abstraction import Abstraction
 from ..geometry.delaunay import delaunay_edges
 from ..geometry.primitives import distance
 from ..geometry.visibility import (
+    FlatRings,
     SegmentGrid,
-    obstacle_bboxes,
     obstacle_segments,
     visible_mask,
 )
@@ -119,8 +119,8 @@ class WaypointPlanner:
         self.obstacles = [
             p for p in abstraction.boundary_polygons() if len(p) >= 3
         ]
-        self._bboxes = obstacle_bboxes(self.obstacles)
         self._grid = SegmentGrid(obstacle_segments(self.obstacles))
+        self._rings = FlatRings(self.obstacles)
         self.base_vertices: list[int] = sorted(set(vertices))
         self.bay_groups = bay_groups or {}
         self.bay_arc_edges = bay_arc_edges or {}
@@ -160,16 +160,16 @@ class WaypointPlanner:
 
         Every visibility question the planner asks goes through here: one
         :func:`visible_mask` call against the planner's one
-        :class:`SegmentGrid`, with the sight line running from ``u`` to
-        ``v``.  Callers add edges in the order of the returned list, which
-        is the order of ``pairs``.
+        :class:`SegmentGrid` and :class:`FlatRings`, with the sight line
+        running from ``u`` to ``v``.  Callers add edges in the order of the
+        returned list, which is the order of ``pairs``.
         """
         if not pairs:
             return []
         arr = np.asarray(pairs, dtype=np.intp)
         vis = visible_mask(
             self.points[arr[:, 0]], self.points[arr[:, 1]], self.obstacles,
-            bboxes=self._bboxes, grid=self._grid,
+            grid=self._grid, rings=self._rings,
         )
         return [(int(u), int(v)) for (u, v), ok in zip(pairs, vis) if ok]
 

@@ -2,15 +2,23 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.analysis import ChurnRebinder, make_instance
+from repro.core.abstraction import build_abstraction
 from repro.geometry.polygon import point_in_polygon
+from repro.graphs.ldel import build_ldel
 from repro.routing.bay_routing import (
-    BayLocation,
+    LocateIndex,
     bay_waypoint_structures,
     extreme_points,
     locate_node,
+    locate_node_reference,
     locate_point,
 )
+from repro.scenarios import perturbed_grid_scenario
+from repro.scenarios.holes import crescent_hole
 
 
 class TestLocate:
@@ -51,6 +59,117 @@ class TestLocate:
         loc = locate_point(abst, centroid)
         if loc is not None:
             assert loc.hole_id == hole.hole_id
+
+
+def _e1_abstraction():
+    # E1's first instance (n=449), the one servebench serves.
+    return make_instance(
+        width=12.0, height=12.0, hole_count=2, hole_scale=2.0, seed=1
+    ).abstraction
+
+
+def _e7_abstraction():
+    # E7's concave-hole instance (an L-shape and a crescent).
+    return make_instance(
+        width=18.0,
+        height=18.0,
+        hole_count=2,
+        hole_scale=3.0,
+        hole_shapes=("l_shape", "crescent"),
+        seed=12,
+    ).abstraction
+
+
+def _crescent_abstraction():
+    hole = crescent_hole((7.0, 7.0), radius=3.2, depth=0.55)
+    sc = perturbed_grid_scenario(width=14, height=14, holes=[hole], seed=61)
+    return build_abstraction(build_ldel(sc.points))
+
+
+def _churn_abstractions():
+    sc = perturbed_grid_scenario(
+        width=12.0, height=12.0, hole_count=2, hole_scale=2.0, seed=1
+    )
+    return [step.abstraction for step in ChurnRebinder(sc, steps=3, seed=7).steps()]
+
+
+_INSTANCES = {
+    "E1": lambda: [_e1_abstraction()],
+    "E7": lambda: [_e7_abstraction()],
+    "crescent": lambda: [_crescent_abstraction()],
+    "churn": _churn_abstractions,
+}
+
+
+def _hull_probe_points(abst) -> np.ndarray:
+    """Points on every padded hull box's border and just either side of
+    it, and points on and beside every hull edge."""
+    out = []
+    pad = 1e-9
+    for hole in abst.holes:
+        hull = abst.points[hole.hull]
+        if len(hull) < 3:
+            continue
+        lo = hull.min(axis=0)
+        hi = hull.max(axis=0)
+        xs = [lo[0] - pad, hi[0] + pad, lo[0], hi[0], (lo[0] + hi[0]) / 2.0]
+        ys = [lo[1] - pad, hi[1] + pad, lo[1], hi[1], (lo[1] + hi[1]) / 2.0]
+        xs += [np.nextafter(x, s) for x in xs[:2] for s in (-np.inf, np.inf)]
+        ys += [np.nextafter(y, s) for y in ys[:2] for s in (-np.inf, np.inf)]
+        out.extend((x, y) for x in xs for y in ys)
+        for a, b in zip(hull, np.roll(hull, -1, axis=0)):
+            d = b - a
+            normal = np.array([-d[1], d[0]]) / max(np.hypot(*d), 1e-300)
+            for t in (0.0, 0.25, 0.5, 1.0):
+                p = a + t * d
+                out.append(tuple(p))
+                for off in (1e-12, 1e-10, 1e-8):
+                    out.append(tuple(p + off * normal))
+                    out.append(tuple(p - off * normal))
+    return np.asarray(out, dtype=np.float64)
+
+
+class TestLocateIndexEquivalence:
+    """``LocateIndex`` ≡ the scan oracles, with no tolerance: the node map
+    and the padded-box prefilter change which holes are tested, never an
+    answer (``docs/performance.md``)."""
+
+    @pytest.mark.parametrize("name", list(_INSTANCES))
+    def test_every_node_matches_reference(self, name):
+        for abst in _INSTANCES[name]():
+            index = LocateIndex(abst)
+            got = [index.node(v) for v in range(len(abst.points))]
+            want = [locate_node_reference(abst, v) for v in range(len(abst.points))]
+            assert got == want
+            assert any(loc is not None for loc in want)
+            assert locate_node(abst, len(abst.points) - 1) == want[-1]
+
+    def test_every_node_of_concave_fixture(self, concave_hole_instance):
+        _, _, abst = concave_hole_instance
+        index = LocateIndex(abst)
+        for v in range(len(abst.points)):
+            assert index.node(v) == locate_node_reference(abst, v), v
+
+    @pytest.mark.parametrize("name", ["E1", "E7", "crescent"])
+    def test_box_borders_and_hull_edges_match_reference(self, name):
+        (abst,) = _INSTANCES[name]()
+        index = LocateIndex(abst)
+        pts = _hull_probe_points(abst)
+        got = [index.point(p) for p in pts]
+        want = [locate_point(abst, p) for p in pts]
+        assert got == want
+        assert any(loc is not None for loc in want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_random_points_match_reference(self, concave_hole_instance, data):
+        _, _, abst = concave_hole_instance
+        lo = abst.points.min(axis=0)
+        hi = abst.points.max(axis=0)
+        x = data.draw(st.floats(float(lo[0]) - 1.0, float(hi[0]) + 1.0))
+        y = data.draw(st.floats(float(lo[1]) - 1.0, float(hi[1]) + 1.0))
+        index = LocateIndex(abst)
+        assert index.point((x, y)) == locate_point(abst, (x, y))
 
 
 class TestBayStructures:

@@ -335,8 +335,8 @@ class TestPlannerMatchesReference:
         inst, pairs = workload()
         fast = _recorded_plans(inst.abstraction, pairs)
 
-        def reference(pa, qa, obstacles, *, bboxes=None, grid=None):
-            return visible_mask_reference(pa, qa, obstacles, bboxes=bboxes)
+        def reference(pa, qa, obstacles, *, grid=None, rings=None):
+            return visible_mask_reference(pa, qa, obstacles)
 
         monkeypatch.setattr(waypoints, "visible_mask", reference)
         ref = _recorded_plans(inst.abstraction, pairs)

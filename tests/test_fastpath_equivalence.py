@@ -30,13 +30,14 @@ from repro.geometry.delaunay import (
 from repro.geometry import visibility
 from repro.geometry.predicates import segments_intersect_batch
 from repro.geometry.visibility import (
+    FlatRings,
     SegmentGrid,
+    _pairs_inside,
     _piece_inside,
-    _pieces_inside,
     _runs_inside,
     _runs_inside_bulk,
     _strictly_inside,
-    _strictly_inside_mask,
+    _strictly_inside_rings,
     is_visible,
     is_visible_reference,
     obstacle_bboxes,
@@ -521,54 +522,133 @@ _KERNEL_LINES = {
 }
 
 
-class TestInteriorKernelEquivalence:
-    """``_runs_inside_bulk``'s array kernel ≡ the scalar polygon walk,
-    pair by pair, with no tolerance (``docs/performance.md``)."""
+def _all_line_ring_pairs(pa, qa, polys, budget):
+    """``_pairs_inside`` over every (line, ring) pair, no slab filter."""
+    rings = FlatRings(polys)
+    line = np.repeat(np.arange(len(pa)), len(polys))
+    ring = np.tile(np.arange(len(polys)), len(pa))
+    dx = qa[:, 0] - pa[:, 0]
+    dy = qa[:, 1] - pa[:, 1]
+    got = _pairs_inside(pa, dx, dy, line, ring, rings, budget)
+    return got.reshape(len(pa), len(polys))
 
-    @pytest.mark.parametrize("budget", [1, 5, 65536])
+
+def _assert_runs_inside(pa, qa, obstacles):
+    bboxes = obstacle_bboxes(obstacles)
+    got = _runs_inside_bulk(pa, qa, FlatRings(obstacles, bboxes))
+    want = [_runs_inside(p, q, obstacles, bboxes) for p, q in zip(pa, qa)]
+    assert got.tolist() == want
+    return got
+
+
+_BUDGETS = (1, 5, 65536)
+
+# Two polygons whose boxes overlap: a square sits in the L's notch.
+_NOTCHED = [_L_SHAPE, _SQUARE * 0.4 + 2.5]
+# Three squares in a row: a sight line along y = 2 or through their
+# corners enters every box.
+_ROW = [_SQUARE, _SQUARE + [6.0, 0.0], _SQUARE + [12.0, 0.0]]
+
+
+def _row_lines() -> tuple[np.ndarray, np.ndarray]:
+    pts = np.vstack(_ROW + [np.array([[-1.0, 2.0], [17.0, 2.0], [-1.0, -1.0]])])
+    return _all_pairs(pts)
+
+
+class TestInteriorKernelEquivalence:
+    """The one-pass interior test (``_runs_inside_bulk`` over
+    :class:`FlatRings`) ≡ the scalar polygon walk, pair by pair, with no
+    tolerance (``docs/performance.md``).  Each test runs at element budgets
+    of 1, 5 and 65,536."""
+
+    @pytest.fixture(params=_BUDGETS)
+    def budget(self, request, monkeypatch):
+        monkeypatch.setattr(visibility, "INTERIOR_BUDGET", request.param)
+        return request.param
+
     @pytest.mark.parametrize("lines", list(_KERNEL_LINES), ids=list(_KERNEL_LINES))
     def test_pieces_inside_matches_piece_inside(self, lines, budget):
+        # Every (line, ring) pair of all kernel polygons in one pass, the
+        # pairs the slab test would reject included.
         pa, qa = _KERNEL_LINES[lines]()
-        for poly in _KERNEL_POLYS:
-            got = _pieces_inside(pa, qa, poly, budget)
-            want = [_piece_inside(p, q, poly) for p, q in zip(pa, qa)]
-            assert got.tolist() == want
-
-    @pytest.mark.parametrize("budget", [1, 65536])
-    def test_battery_matches_runs_inside(self, budget, monkeypatch):
-        monkeypatch.setattr(visibility, "INTERIOR_BUDGET", budget)
-        obstacles = _obstacle_battery(seed=21, n_obs=12, scale=16.0)
-        bboxes = obstacle_bboxes(obstacles)
-        pa, qa = _battery_lines()
-        got = _runs_inside_bulk(pa, qa, obstacles, bboxes)
-        want = [_runs_inside(p, q, obstacles, bboxes) for p, q in zip(pa, qa)]
+        got = _all_line_ring_pairs(pa, qa, list(_KERNEL_POLYS), budget)
+        want = [
+            [_piece_inside(p, q, poly) for poly in _KERNEL_POLYS]
+            for p, q in zip(pa, qa)
+        ]
         assert got.tolist() == want
+
+    def test_battery_matches_runs_inside(self, budget):
+        got = _assert_runs_inside(
+            *_battery_lines(), _obstacle_battery(seed=21, n_obs=12, scale=16.0)
+        )
         assert 0 < got.sum() < len(got)
 
-    @pytest.mark.parametrize("budget", [1, 65536])
-    def test_fixtures_match_runs_inside(self, budget, monkeypatch):
-        monkeypatch.setattr(visibility, "INTERIOR_BUDGET", budget)
+    def test_fixtures_match_runs_inside(self, budget):
         obstacles = [_L_SHAPE, _ZERO_EDGES + 6.0, _SQUARE - 6.0]
-        bboxes = obstacle_bboxes(obstacles)
         for make in _KERNEL_LINES.values():
             pa, qa = make()
             for shift in (0.0, 6.0, -6.0):
-                got = _runs_inside_bulk(pa + shift, qa + shift, obstacles, bboxes)
-                want = [
-                    _runs_inside(p, q, obstacles, bboxes)
-                    for p, q in zip(pa + shift, qa + shift)
-                ]
-                assert got.tolist() == want
+                _assert_runs_inside(pa + shift, qa + shift, obstacles)
+
+    def test_overlapping_boxes(self, budget):
+        pts = np.vstack(_NOTCHED + [np.array([[1.0, 3.0], [3.0, 1.0], [5.0, 5.0]])])
+        got = _assert_runs_inside(*_all_pairs(pts), _NOTCHED)
+        assert got.any()
+
+    def test_line_entering_several_obstacles(self, budget):
+        pa, qa = _row_lines()
+        got = _assert_runs_inside(pa, qa, _ROW)
+        entered = [
+            sum(_piece_inside(p, q, poly) for poly in _ROW) for p, q in zip(pa, qa)
+        ]
+        assert max(entered) == len(_ROW)
+        assert got.tolist() == [n > 0 for n in entered]
+
+    def test_short_rings_keep_their_box_index(self, budget):
+        # Rings of 0, 1 and 2 vertices between real ones: the walk skips
+        # them, and each real ring keeps its own row of the boxes.
+        obstacles = [
+            np.array([[7.0, 7.0], [9.0, 9.0]]),
+            _L_SHAPE,
+            np.zeros((0, 2)),
+            _SQUARE + 6.0,
+            np.array([[20.0, 20.0]]),
+            _ZERO_EDGES - 6.0,
+        ]
+        rings = FlatRings(obstacles)
+        assert rings.boxes.tolist() == obstacle_bboxes(obstacles)[[1, 3, 5]].tolist()
+        pts = np.vstack([_L_SHAPE, _SQUARE + 6.0, _ZERO_EDGES - 6.0, [[8.0, 8.0]]])
+        got = _assert_runs_inside(*_all_pairs(pts), obstacles)
+        assert got.any()
+
+    def test_no_obstacles(self, budget):
+        pa, qa = _through_vertices()
+        assert not _runs_inside_bulk(pa, qa, FlatRings([])).any()
+        assert visible_mask(pa, qa, []).all()
+        assert visible_mask_reference(pa, qa, []).all()
+
+    def test_zero_lines(self, budget):
+        empty = np.zeros((0, 2))
+        assert _runs_inside_bulk(empty, empty, FlatRings(_NOTCHED)).shape == (0,)
+        assert visible_mask(empty, empty, _NOTCHED).shape == (0,)
 
     def test_strictly_inside_mask_on_lattice(self):
-        # Every vertex, edge point and cell centre of a half-unit lattice.
+        # Every vertex, edge point and cell centre of a half-unit lattice,
+        # each point against every kernel polygon as its own ring.
         xs, ys = np.meshgrid(np.arange(-1.0, 5.5, 0.5), np.arange(-1.0, 5.5, 0.5))
         x, y = xs.ravel(), ys.ravel()
-        for poly in _KERNEL_POLYS:
-            for budget in (1, 65536):
-                got = _strictly_inside_mask(x, y, poly, budget)
-                want = [_strictly_inside((a, b), poly) for a, b in zip(x, y)]
-                assert got.tolist() == want
+        rings = FlatRings(list(_KERNEL_POLYS))
+        n = len(_KERNEL_POLYS)
+        ring = np.tile(np.arange(n), len(x))
+        want = [
+            _strictly_inside((a, b), poly) for a, b in zip(x, y) for poly in _KERNEL_POLYS
+        ]
+        for budget in _BUDGETS:
+            got = _strictly_inside_rings(
+                np.repeat(x, n), np.repeat(y, n), ring, rings, budget
+            )
+            assert got.tolist() == want
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -585,9 +665,13 @@ class TestInteriorKernelEquivalence:
         poly = np.asarray(ring, dtype=np.float64)
         pts = np.asarray(ends, dtype=np.float64)
         pa, qa = pts[::2][: len(pts) // 2], pts[1::2]
-        got = _pieces_inside(pa, qa, poly, 3)
-        want = [_piece_inside(p, q, poly) for p, q in zip(pa, qa)]
-        assert got.tolist() == want
+        want = [
+            [_piece_inside(p, q, poly), _piece_inside(p, q, _SQUARE)]
+            for p, q in zip(pa, qa)
+        ]
+        for budget in _BUDGETS:
+            got = _all_line_ring_pairs(pa, qa, [poly, _SQUARE], budget)
+            assert got.tolist() == want
 
 
 # -- faces and holes ----------------------------------------------------------

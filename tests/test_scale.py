@@ -158,3 +158,34 @@ class TestScaleSlow:
             got = chew_route(graph, s, t, index=index)
             want = chew_route_reference(graph, s, t, index=index)
             assert vars(got) == vars(want), (s, t)
+
+    def test_interior_pass_and_locate_match_reference(self, huge_instance):
+        from repro.geometry.visibility import (
+            FlatRings,
+            _runs_inside,
+            _runs_inside_bulk,
+            obstacle_bboxes,
+        )
+        from repro.routing.bay_routing import LocateIndex, locate_node_reference
+
+        sc, graph, _ = huge_instance
+        abst = build_abstraction(graph)
+        obstacles = [p for p in abst.boundary_polygons() if len(p) >= 3]
+        bboxes = obstacle_bboxes(obstacles)
+        rng = np.random.default_rng(29)
+        # Sight lines the planner asks about: hull corner to hull corner,
+        # and terminal to hull corner.
+        corners = np.asarray(sorted(abst.hull_nodes()))
+        ends = np.concatenate([corners, rng.integers(sc.n, size=300)])
+        ii = rng.choice(ends, size=1200)
+        jj = rng.choice(corners, size=1200)
+        pa, qa = abst.points[ii], abst.points[jj]
+        got = _runs_inside_bulk(pa, qa, FlatRings(obstacles, bboxes))
+        want = [_runs_inside(p, q, obstacles, bboxes) for p, q in zip(pa, qa)]
+        assert got.tolist() == want
+        assert got.any()
+        # Terminals: a sample of nodes plus every bay-interior ring node.
+        index = LocateIndex(abst)
+        bay_nodes = [v for h in abst.holes for bay in h.bays for v in bay.interior]
+        for v in np.concatenate([rng.integers(sc.n, size=300), bay_nodes]):
+            assert index.node(int(v)) == locate_node_reference(abst, int(v)), v
