@@ -109,7 +109,6 @@ def _run_cold_warm():
         for a, b, c in zip(cold_out, warm_out, rewarm_out)
         if not (a.path == b.path == c.path and a.case == b.case == c.case)
     )
-    stats = warm_engine.stats.summary()
     # route_many routes each distinct pair once; the cold engine routes all.
     routed_warm = len(set(workload))
     return {
@@ -125,8 +124,6 @@ def _run_cold_warm():
         "cold_ms_per_pair": cold_s * 1e3 / len(workload),
         "warm_ms_per_pair": warm_s * 1e3 / routed_warm,
         "path_mismatches": mismatches,
-        "locate_hit_rate": stats.get("locate_hit_rate", 0.0),
-        "dijkstra_hits": stats.get("dijkstra_hits", 0),
     }
 
 
@@ -145,7 +142,6 @@ def test_e14_cold_vs_warm_workload(benchmark, report):
                 "rewarm_x": round(res["rewarm_speedup"], 1),
                 "cold_ms_per_pair": round(res["cold_ms_per_pair"], 2),
                 "warm_ms_per_pair": round(res["warm_ms_per_pair"], 2),
-                "locate_hit_rate": round(res["locate_hit_rate"], 3),
                 "path_mismatches": res["path_mismatches"],
             }
         ],

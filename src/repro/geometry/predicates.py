@@ -274,10 +274,10 @@ def proper_crossing_mask(
     2.  The classification (strictly opposite orientations, every cross
     product beyond EPS) is identical to :func:`segments_properly_intersect`;
     :func:`segments_intersect_batch` is its any-reduction over a full
-    obstacle array, and the grid-pruned visibility path
-    (:meth:`repro.geometry.visibility.SegmentGrid.crossing_mask`) applies it
-    element-wise to candidate pairs — both therefore classify every pair the
-    same way the scalar predicate does.
+    obstacle array, and the one-pass visibility test
+    (:func:`repro.geometry.visibility.visible_mask`) evaluates its cross
+    products term for term on (sight line, ring edge) pairs — both
+    therefore classify every pair the same way the scalar predicate does.
     """
     d1 = _cross_batch(p, q, a)
     d2 = _cross_batch(p, q, b)

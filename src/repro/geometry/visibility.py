@@ -13,21 +13,16 @@ line segment does not cross any hole.  Grazing a corner (sharing an endpoint
 with an obstacle edge) does not block visibility, but passing *through* an
 obstacle's interior does.
 
-The proper-crossing rejection — the Θ(m·k) bulk of visibility-graph
-construction — runs through :class:`SegmentGrid`, a uniform grid over the
-obstacle segments that prunes each sight line's candidate set to the
-segments sharing a grid neighborhood with it before handing the survivors
-to the vectorized crossing predicate.  The pruning is conservative (any
-segment properly crossing a sight line shares a cell neighborhood with it,
-see :meth:`SegmentGrid.crossing_mask`), so the pruned test classifies every
-pair identically to the full scan; :func:`is_visible_reference` and
-:func:`visible_mask_reference` keep the full-scan implementations as the
-differential oracles (``tests/test_fastpath_equivalence.py``).  The second
-half of the test — does some piece of an uncrossed sight line run strictly
-inside an obstacle? — runs in :func:`visible_mask` as one array pass over
-every obstacle at once, reading the rings from :class:`FlatRings` (flat
-edge arrays built once per obstacle set), with the scalar
-:func:`_piece_inside` walk kept as its reference.
+Both halves of the test run in :func:`visible_mask` as one array pass
+over the obstacle rings, flattened once per obstacle set into
+:class:`FlatRings`: a slab test picks the (sight line, ring) pairs whose
+line enters the ring's padded bounding box, those pairs are expanded
+into ring edges for the proper-crossing predicate, and the lines nothing
+crosses go on to the interior test — does some piece of the sight line
+run strictly inside an obstacle?  :func:`is_visible_reference` and
+:func:`visible_mask_reference` keep the full scans (every sight line
+against every obstacle segment, then the scalar :func:`_piece_inside`
+walk) as the differential oracles (``tests/test_fastpath_equivalence.py``).
 """
 
 from __future__ import annotations
@@ -39,11 +34,7 @@ from collections.abc import Iterable, Iterator, Sequence
 import numpy as np
 
 from .primitives import EPS, as_array, distance
-from .predicates import (
-    proper_crossing_mask,
-    segment_intersects_any,
-    segments_intersect_batch,
-)
+from .predicates import segment_intersects_any, segments_intersect_batch
 from .polygon import (
     point_on_polygon_boundary,
     polygon_edges,
@@ -53,7 +44,6 @@ from .polygon import (
 __all__ = [
     "obstacle_segments",
     "obstacle_bboxes",
-    "SegmentGrid",
     "FlatRings",
     "is_visible",
     "is_visible_reference",
@@ -64,172 +54,10 @@ __all__ = [
     "VisibilityGraph",
 ]
 
-#: Element budget of one block in the interior pass — (sight line × ring
-#: box) in the slab test, (pair × ring edge) in the cut and midpoint tests:
-#: bounds peak memory on long hole rings without changing a result.
+#: Element budget of one block of the pass — (sight line × ring box) in
+#: the slab test, (pair × ring edge) in the crossing, cut and midpoint
+#: tests: bounds peak memory on long hole rings without changing a result.
 INTERIOR_BUDGET = 65536
-
-#: Element budget of one (sight line × obstacle segment) mark array in the
-#: grid candidate join, for the same reason.
-JOIN_BUDGET = 65536
-
-
-class SegmentGrid:
-    """Uniform grid over obstacle segments for sight-line candidate pruning.
-
-    Each segment is registered in every cell of its bounding box grown by
-    one ring of cells.  A sight-line query samples points along the line at
-    spacing at most one cell and collects the segments registered in each
-    sample's cell — exactly the segments whose bounding-box cells meet the
-    sample's 3×3 cell neighborhood.  This candidate set is *complete* for
-    proper crossings: if obstacle segment ``s`` properly crosses sight line
-    ``pq`` at point ``X``, then ``X`` lies on ``s`` (so ``X``'s cell is in
-    ``s``'s bounding box) and ``X`` lies on ``pq`` within half a cell of
-    some sample (so that sample's cell is within Chebyshev distance 1 of
-    ``X``'s cell, where ``s`` is registered).  Extra candidates are
-    harmless — they still go through the exact crossing predicate — so the
-    pruned test agrees with the full scan on every pair.
-    """
-
-    def __init__(self, segments: np.ndarray, cell: float | None = None) -> None:
-        self.segments = np.asarray(segments, dtype=np.float64).reshape(-1, 4)
-        k = len(self.segments)
-        if cell is None:
-            if k:
-                ext = np.maximum(
-                    np.abs(self.segments[:, 2] - self.segments[:, 0]),
-                    np.abs(self.segments[:, 3] - self.segments[:, 1]),
-                )
-                cell = float(max(np.median(ext), 1e-6))
-            else:
-                cell = 1.0
-        self.cell = float(cell)
-        self._ukeys = np.zeros(0, dtype=np.int64)
-        self._starts = np.zeros(0, dtype=np.int64)
-        self._counts = np.zeros(0, dtype=np.int64)
-        self._segids = np.zeros(0, dtype=np.int64)
-        self._ox = 0
-        self._oy = 0
-        self._stride = 1
-        if k == 0:
-            return
-        inv = 1.0 / self.cell
-        # Bounding-box cells grown by one ring: one bucket is then the union
-        # of the 3×3 neighborhood of bounding-box registrations.
-        x0 = np.floor(np.minimum(self.segments[:, 0], self.segments[:, 2]) * inv)
-        x1 = np.floor(np.maximum(self.segments[:, 0], self.segments[:, 2]) * inv)
-        y0 = np.floor(np.minimum(self.segments[:, 1], self.segments[:, 3]) * inv)
-        y1 = np.floor(np.maximum(self.segments[:, 1], self.segments[:, 3]) * inv)
-        x0 = x0.astype(np.int64) - 1
-        x1 = x1.astype(np.int64) + 1
-        y0 = y0.astype(np.int64) - 1
-        y1 = y1.astype(np.int64) + 1
-        self._ox = int(x0.min())
-        self._oy = int(y0.min())
-        self._stride = int(y1.max()) - self._oy + 1
-        nx = x1 - x0 + 1
-        ny = y1 - y0 + 1
-        ncells = nx * ny
-        tot = int(ncells.sum())
-        seg_of = np.repeat(np.arange(k, dtype=np.int64), ncells)
-        local = np.arange(tot, dtype=np.int64) - np.repeat(
-            np.cumsum(ncells) - ncells, ncells
-        )
-        ny_rep = np.repeat(ny, ncells)
-        cx = np.repeat(x0, ncells) + local // ny_rep
-        cy = np.repeat(y0, ncells) + local % ny_rep
-        key = (cx - self._ox) * self._stride + (cy - self._oy)
-        order = np.argsort(key, kind="stable")
-        skeys = key[order]
-        self._segids = seg_of[order]
-        self._ukeys, self._starts = np.unique(skeys, return_index=True)
-        self._counts = np.diff(np.append(self._starts, tot))
-
-    def candidates(self, p: Sequence[float], q: Sequence[float]) -> np.ndarray:
-        """Indices of segments that could properly cross sight line ``pq``."""
-        # One line is one chunk, its segment ids sorted and unique.
-        pairs = self._candidate_pairs(
-            np.asarray([p], dtype=np.float64), np.asarray([q], dtype=np.float64)
-        )
-        return next((sid for _, sid in pairs), np.zeros(0, dtype=np.int64))
-
-    def _candidate_pairs(
-        self, pa: np.ndarray, qa: np.ndarray
-    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """Deduplicated ``(query_id, segment_id)`` candidate pairs for a batch
-        of sight lines — the grid join described in the class docstring,
-        built without a Python loop over queries.
-
-        Yields one chunk of lines at a time, in line order, each chunk's
-        pairs sorted by ``(query_id, segment_id)``.  A chunk holds at most
-        ``JOIN_BUDGET // k`` lines (at least one), which bounds its
-        (line × segment) mark array.
-        """
-        m = len(pa)
-        k = len(self.segments)
-        if m == 0 or k == 0:
-            return
-        inv = 1.0 / self.cell
-        nu = len(self._ukeys)
-        per = max(1, JOIN_BUDGET // k)
-        for lo in range(0, m, per):
-            hi = min(m, lo + per)
-            p = pa[lo:hi]
-            dx = qa[lo:hi, 0] - p[:, 0]
-            dy = qa[lo:hi, 1] - p[:, 1]
-            length = np.hypot(dx, dy)
-            ns = np.maximum(1, np.ceil(length * inv).astype(np.int64))
-            tot = int(ns.sum())
-            qid = np.repeat(np.arange(hi - lo, dtype=np.int64), ns)
-            local = np.arange(tot, dtype=np.int64) - np.repeat(np.cumsum(ns) - ns, ns)
-            t = (local.astype(np.float64) + 0.5) / np.repeat(ns, ns)
-            sx = p[qid, 0] + t * dx[qid]
-            sy = p[qid, 1] + t * dy[qid]
-            cx = np.floor(sx * inv).astype(np.int64) - self._ox
-            cy = np.floor(sy * inv).astype(np.int64) - self._oy
-            valid = (cy >= 0) & (cy < self._stride) & (cx >= 0)
-            qid = qid[valid]
-            key = cx[valid] * self._stride + cy[valid]
-            # A line's cells are monotone in x and y, so its repeated cells
-            # are consecutive samples: keep the first of each run.
-            first = np.ones(len(key), dtype=bool)
-            first[1:] = (key[1:] != key[:-1]) | (qid[1:] != qid[:-1])
-            qid = qid[first]
-            key = key[first]
-            idx = np.clip(np.searchsorted(self._ukeys, key), 0, nu - 1)
-            cnt = np.where(self._ukeys[idx] == key, self._counts[idx], 0)
-            total = int(cnt.sum())
-            if total == 0:
-                continue
-            offs = np.arange(total, dtype=np.int64) - np.repeat(
-                np.cumsum(cnt) - cnt, cnt
-            )
-            sid = self._segids[np.repeat(self._starts[idx], cnt) + offs]
-            mark = np.zeros((hi - lo) * k, dtype=bool)
-            mark[np.repeat(qid, cnt) * k + sid] = True
-            pairs = np.flatnonzero(mark)
-            yield lo + pairs // k, pairs % k
-
-    def crossing_mask(self, pa: np.ndarray, qa: np.ndarray) -> np.ndarray:
-        """Element-wise: does sight line ``i`` properly cross any segment?
-
-        Equal to ``segments_intersect_batch(pa, qa, self.segments)`` — the
-        candidate join is complete for proper crossings and the surviving
-        pairs are classified with the identical orientation/EPS expression —
-        but touches only the pruned pairs.
-        """
-        pa = as_array(pa)
-        qa = as_array(qa)
-        out = np.zeros(len(pa), dtype=bool)
-        for qid, sid in self._candidate_pairs(pa, qa):
-            proper = proper_crossing_mask(
-                pa[qid],
-                qa[qid],
-                self.segments[sid, 0:2],
-                self.segments[sid, 2:4],
-            )
-            out[qid[proper]] = True
-        return out
 
 
 def obstacle_segments(obstacles: Iterable[Sequence[Sequence[float]]]) -> np.ndarray:
@@ -287,32 +115,19 @@ def is_visible(
     q: Sequence[float],
     obstacles: Sequence[Sequence[Sequence[float]]],
     *,
-    segments: np.ndarray | None = None,
-    bboxes: np.ndarray | None = None,
-    grid: SegmentGrid | None = None,
+    rings: FlatRings | None = None,
 ) -> bool:
     """Is ``q`` visible from ``p`` given polygonal ``obstacles``?
 
     Visibility fails when the segment properly crosses an obstacle edge or
     when some piece of it runs strictly inside an obstacle (e.g. a sight
-    line entering corner-to-corner through the interior).  ``segments`` and
-    ``bboxes`` may be precomputed once per obstacle set (the planners do) to
-    amortize repeated queries; passing a :class:`SegmentGrid` additionally
-    prunes the crossing test to the segments near the sight line (same
-    answer — see the grid's completeness argument).
+    line entering corner-to-corner through the interior).  A one-line
+    :func:`visible_mask`; pass the obstacles' :class:`FlatRings` to amortize
+    repeated queries against one obstacle set.
     """
-    if grid is not None:
-        p_arr = np.asarray(p, dtype=np.float64)
-        q_arr = np.asarray(q, dtype=np.float64)
-        crossed = bool(grid.crossing_mask(p_arr[None, :], q_arr[None, :])[0])
-    else:
-        segs = obstacle_segments(obstacles) if segments is None else segments
-        crossed = segment_intersects_any(p, q, segs)
-    if crossed:
-        return False
-    if bboxes is None:
-        bboxes = obstacle_bboxes(obstacles)
-    return not _runs_inside(p, q, obstacles, bboxes)
+    p_arr = np.asarray(p, dtype=np.float64).reshape(1, 2)
+    q_arr = np.asarray(q, dtype=np.float64).reshape(1, 2)
+    return bool(visible_mask(p_arr, q_arr, obstacles, rings=rings)[0])
 
 
 def is_visible_reference(
@@ -325,9 +140,9 @@ def is_visible_reference(
 ) -> bool:
     """Full-scan oracle for :func:`is_visible`.
 
-    Tests the sight line against *every* obstacle segment — no grid pruning
-    anywhere in the call tree.  The differential suite pins the pruned path
-    to this answer on every pair it checks.
+    Tests the sight line against *every* obstacle segment, then walks every
+    obstacle whose bounding box it touches.  The differential suite pins
+    the one-pass test to this answer on every pair it checks.
     """
     segs = obstacle_segments(obstacles) if segments is None else segments
     if segment_intersects_any(p, q, segs):
@@ -391,14 +206,19 @@ def _runs_inside(
 class FlatRings:
     """The rings of one obstacle set as flat edge arrays, built once.
 
-    The interior pass reads every obstacle from here instead of looping over
-    polygons.  Rings with fewer than 3 vertices are dropped, as the scalar
-    walk skips them; the others keep their row of ``bboxes`` (their index
-    into the obstacle list), so ``boxes[r]`` is ring ``r``'s box.  Ring
+    The visibility pass reads every obstacle from here instead of looping
+    over polygons.  Rings with fewer than 2 vertices are dropped (they have
+    no edge that can be crossed); the others keep their row of ``bboxes``
+    (their index into the obstacle list), so ``boxes[r]`` is ring ``r``'s
+    box.  ``solid[r]`` marks rings of at least 3 vertices, the only ones
+    the interior test walks, as the scalar walk skips the rest.  Ring
     ``r``'s edges are the flat indices ``starts[r] : starts[r] + counts[r]``
-    in ring order.  Edge ``f`` runs from vertex ``(ax, ay)`` by
-    ``(ex, ey)`` to the next vertex, and ``(jx, jy)`` is the previous
-    vertex, the ``j`` end of the ray cast's edge ``(j, i)``.
+    in ring order.  Edge ``f`` runs from vertex ``(ax, ay)`` to the next
+    vertex ``(bx, by)`` — the rows :func:`polygon_edges` yields, so the
+    crossing test reads the same end points as the reference, not
+    ``a + e``, which can round differently — by ``(ex, ey)``, and
+    ``(jx, jy)`` is the previous vertex, the ``j`` end of the ray cast's
+    edge ``(j, i)``.
     """
 
     def __init__(
@@ -408,11 +228,12 @@ class FlatRings:
     ) -> None:
         if bboxes is None:
             bboxes = obstacle_bboxes(obstacles)
-        ids = [i for i, poly in enumerate(obstacles) if len(poly) >= 3]
+        ids = [i for i, poly in enumerate(obstacles) if len(poly) >= 2]
         polys = [as_array(obstacles[i]) for i in ids]
         self.boxes = np.asarray(bboxes, dtype=np.float64).reshape(-1, 4)[ids]
         self.counts = np.array([len(p) for p in polys], dtype=np.int64)
         self.starts = np.cumsum(self.counts) - self.counts
+        self.solid = self.counts >= 3
         if polys:
             a = np.vstack(polys)
             nxt = np.vstack([np.concatenate((p[1:], p[:1])) for p in polys])
@@ -421,8 +242,10 @@ class FlatRings:
             a = nxt = prv = np.zeros((0, 2))
         self.ax = a[:, 0]
         self.ay = a[:, 1]
-        self.ex = nxt[:, 0] - self.ax
-        self.ey = nxt[:, 1] - self.ay
+        self.bx = nxt[:, 0]
+        self.by = nxt[:, 1]
+        self.ex = self.bx - self.ax
+        self.ey = self.by - self.ay
         self.jx = prv[:, 0]
         self.jy = prv[:, 1]
         self.len_sq = self.ex * self.ex + self.ey * self.ey
@@ -452,32 +275,29 @@ def _ring_edges(
         lo = hi
 
 
-def _runs_inside_bulk(
-    pa: np.ndarray, qa: np.ndarray, rings: FlatRings
-) -> np.ndarray:
-    """Batched :func:`_runs_inside` over ``m`` segments and every obstacle.
+def _entering_pairs(
+    pa: np.ndarray, dx: np.ndarray, dy: np.ndarray, rings: FlatRings, budget: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The (segment, ring) pairs whose segment enters the ring's box.
 
-    One pass over all obstacles: a slab test over the (segment × ring box)
-    block picks the pairs whose segment enters a box, and
-    :func:`_pairs_inside` decides every such pair at once.  Each pair gets
-    the decision :func:`_piece_inside` makes, so the result equals a Python
-    loop of :func:`_runs_inside` calls element-wise.  No block holds more
-    than ``INTERIOR_BUDGET`` elements.
+    Segment ``j`` runs from ``pa[j]`` by ``(dx[j], dy[j])``.  Yields
+    ``(line, ring)`` per block of consecutive segments; a block holds every
+    pair of its segments, and its (segment × ring box) slab block at most
+    ``budget`` elements (at least one segment).
+
+    The Liang–Barsky slab test asks whether the segment actually enters the
+    ring's bounding box, padded by 1e-9.  Anything the later tests look
+    for lies in the unpadded box: a proper crossing point lies on a ring
+    edge, and a piece strictly inside a polygon lies inside it.  The pad
+    absorbs the rounding of the slab parameters, so the rejection is
+    conservative-exact, and stronger than comparing the two bounding
+    boxes, which passes every long diagonal sight line whose box merely
+    overlaps the obstacle's.
     """
     m = len(pa)
-    out = np.zeros(m, dtype=bool)
     nr = len(rings.counts)
     if m == 0 or nr == 0:
-        return out
-    budget = INTERIOR_BUDGET
-    dx = qa[:, 0] - pa[:, 0]
-    dy = qa[:, 1] - pa[:, 1]
-    # Liang–Barsky slab test: does segment j actually enter the ring's
-    # (slightly padded) bounding box?  Any piece of the segment strictly
-    # inside the polygon lies inside the box, so this rejection is
-    # conservative-exact — stronger than comparing the two bounding boxes,
-    # which passes every long diagonal sight line whose box merely
-    # overlaps the obstacle's.
+        return
     pad = 1e-9
     bxmin = rings.boxes[:, 0] - pad
     bymin = rings.boxes[:, 1] - pad
@@ -491,8 +311,81 @@ def _runs_inside_bulk(
             bxmin, bymin, bxmax, bymax,
         )
         line, ring = np.nonzero(t_lo <= t_hi)
+        yield line + lo, ring
+
+
+def _straddles(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``u`` and ``v`` beyond ``EPS`` on opposite sides of zero: the sign
+    test :func:`proper_crossing_mask` applies to each pair of its cross
+    products (opposite signs, both magnitudes above ``EPS``)."""
+    return ((u > EPS) & (v < -EPS)) | ((u < -EPS) & (v > EPS))
+
+
+def _pairs_cross(
+    pa: np.ndarray,
+    qa: np.ndarray,
+    dx: np.ndarray,
+    dy: np.ndarray,
+    line: np.ndarray,
+    ring: np.ndarray,
+    rings: FlatRings,
+    budget: int,
+) -> np.ndarray:
+    """Which segments ``line[i]`` properly cross an edge of ring ``ring[i]``.
+
+    Segment ``j`` runs from ``pa[j]`` to ``qa[j]``, by ``(dx[j], dy[j])``.
+    Returns the crossing segments' indices (with repeats).  Each (pair,
+    ring edge) element evaluates the four cross products of
+    :func:`proper_crossing_mask` term for term, on the edge's stored end
+    points (``dx`` is its ``q - p``, ``ex`` its ``b - a``), so it is
+    classified exactly as :func:`segments_intersect_batch` classifies that
+    segment against that row of :func:`obstacle_segments`.  The edge's end
+    points are tested against the segment first; only the edges they
+    straddle pay for the other two products.
+    """
+    parts: list[np.ndarray] = []
+    for _, _, pair, f in _ring_edges(ring, rings, budget):
+        seg = line[pair]
+        px = pa[seg, 0]
+        py = pa[seg, 1]
+        sdx = dx[seg]
+        sdy = dy[seg]
+        ax = rings.ax[f]
+        ay = rings.ay[f]
+        d1 = sdx * (ay - py) - sdy * (ax - px)
+        d2 = sdx * (rings.by[f] - py) - sdy * (rings.bx[f] - px)
+        keep = _straddles(d1, d2)
+        seg = seg[keep]
+        f = f[keep]
+        ax = ax[keep]
+        ay = ay[keep]
+        ex = rings.ex[f]
+        ey = rings.ey[f]
+        d3 = ex * (py[keep] - ay) - ey * (px[keep] - ax)
+        d4 = ex * (qa[seg, 1] - ay) - ey * (qa[seg, 0] - ax)
+        parts.append(seg[_straddles(d3, d4)])
+    return np.concatenate(parts) if parts else np.zeros(0, dtype=np.intp)
+
+
+def _runs_inside_bulk(
+    pa: np.ndarray, qa: np.ndarray, rings: FlatRings
+) -> np.ndarray:
+    """Batched :func:`_runs_inside` over ``m`` segments and every obstacle.
+
+    The interior half of :func:`visible_mask` on its own: every entering
+    (segment, solid ring) pair goes through :func:`_pairs_inside`, so the
+    result equals a Python loop of :func:`_runs_inside` calls element-wise.
+    No block holds more than ``INTERIOR_BUDGET`` elements.
+    """
+    out = np.zeros(len(pa), dtype=bool)
+    budget = INTERIOR_BUDGET
+    dx = qa[:, 0] - pa[:, 0]
+    dy = qa[:, 1] - pa[:, 1]
+    for line, ring in _entering_pairs(pa, dx, dy, rings, budget):
+        keep = rings.solid[ring]
+        line = line[keep]
+        ring = ring[keep]
         if len(line):
-            line += lo
             out[line[_pairs_inside(pa, dx, dy, line, ring, rings, budget)]] = True
     return out
 
@@ -657,34 +550,37 @@ def visible_mask(
     qa: np.ndarray,
     obstacles: Sequence[Sequence[Sequence[float]]],
     *,
-    grid: SegmentGrid | None = None,
     rings: FlatRings | None = None,
 ) -> np.ndarray:
     """Batched :func:`is_visible` over ``m`` candidate sight lines.
 
     ``pa``/``qa`` have shape ``(m, 2)``; returns a boolean array of shape
-    ``(m,)`` equal element-wise to calling :func:`is_visible` per pair.  The
-    proper-crossing rejection runs through a :class:`SegmentGrid` (built on
-    the fly unless one is passed in), so each sight line is tested only
-    against the obstacle segments sharing a grid neighborhood with it
-    instead of all Θ(k) of them; only the surviving pairs go through the
-    one-pass interior test over the obstacles' :class:`FlatRings` (likewise
-    built on the fly unless passed in).  This is the hot path of Θ(h²)
-    visibility-graph construction; :func:`visible_mask_reference` keeps the
-    unpruned scan as the oracle.
+    ``(m,)`` equal element-wise to :func:`visible_mask_reference`.  One
+    pass over the obstacles' :class:`FlatRings` (built on the fly unless
+    passed in): per block of sight lines, the slab test picks the entering
+    (line, ring) pairs, their ring edges go through the proper-crossing
+    predicate, and the pairs of lines nothing crosses go through the
+    interior test, skipping rings of 2 vertices as the reference does.
+    This is the hot path of Θ(h²) visibility-graph construction and of the
+    waypoint planner.
     """
     pa = as_array(pa)
     qa = as_array(qa)
-    if grid is None:
-        grid = SegmentGrid(obstacle_segments(obstacles))
     if rings is None:
         rings = FlatRings(obstacles)
-    crossed = grid.crossing_mask(pa, qa)
-    out = np.zeros(len(pa), dtype=bool)
-    free = np.flatnonzero(~crossed)
-    inside = _runs_inside_bulk(pa[free], qa[free], rings)
-    out[free] = ~inside
-    return out
+    budget = INTERIOR_BUDGET
+    dx = qa[:, 0] - pa[:, 0]
+    dy = qa[:, 1] - pa[:, 1]
+    blocked = np.zeros(len(pa), dtype=bool)
+    for line, ring in _entering_pairs(pa, dx, dy, rings, budget):
+        blocked[_pairs_cross(pa, qa, dx, dy, line, ring, rings, budget)] = True
+        keep = ~blocked[line] & rings.solid[ring]
+        line = line[keep]
+        ring = ring[keep]
+        if len(line):
+            inside = _pairs_inside(pa, dx, dy, line, ring, rings, budget)
+            blocked[line[inside]] = True
+    return ~blocked
 
 
 def visible_mask_reference(
@@ -699,8 +595,9 @@ def visible_mask_reference(
     """Unpruned oracle for :func:`visible_mask`.
 
     Every sight line is tested against the full obstacle-segment array via
-    :func:`segments_intersect_batch` (chunked to bound peak memory) — the
-    pre-grid implementation, kept verbatim for differential testing.
+    :func:`segments_intersect_batch` (chunked to bound peak memory), and
+    each uncrossed one walks the obstacles with :func:`_runs_inside` — the
+    full-scan implementation, kept verbatim for differential testing.
     """
     pa = as_array(pa)
     qa = as_array(qa)
@@ -743,10 +640,7 @@ class VisibilityGraph:
     ) -> None:
         self.vertices = as_array(vertices)
         self.obstacles = [as_array(o) for o in obstacles]
-        self._segments = obstacle_segments(self.obstacles)
-        self._bboxes = obstacle_bboxes(self.obstacles)
-        self._grid = SegmentGrid(self._segments)
-        self._rings = FlatRings(self.obstacles, self._bboxes)
+        self._rings = FlatRings(self.obstacles)
         self.adjacency: dict[int, dict[int, float]] = {
             i: {} for i in range(len(self.vertices))
         }
@@ -759,7 +653,7 @@ class VisibilityGraph:
         ii, jj = np.triu_indices(n, k=1)
         vis = visible_mask(
             self.vertices[ii], self.vertices[jj], self.obstacles,
-            grid=self._grid, rings=self._rings,
+            rings=self._rings,
         )
         for i, j in zip(ii[vis], jj[vis]):
             i, j = int(i), int(j)
@@ -784,11 +678,7 @@ class VisibilityGraph:
             self.adjacency[idx] = {}
             for j in range(idx):
                 p, q = self.vertices[idx], self.vertices[j]
-                if is_visible(
-                    p, q, self.obstacles,
-                    segments=self._segments, bboxes=self._bboxes,
-                    grid=self._grid,
-                ):
+                if is_visible(p, q, self.obstacles, rings=self._rings):
                     w = distance(p, q)
                     self.adjacency[idx][j] = w
                     self.adjacency[j][idx] = w

@@ -21,6 +21,7 @@ __all__ = [
     "dijkstra",
     "euclidean_weights",
     "dijkstra_weighted",
+    "dijkstra_to_target",
     "euclidean_shortest_path",
     "euclidean_shortest_path_length",
     "hop_distances",
@@ -123,6 +124,67 @@ def dijkstra_weighted(nbrs: WeightedAdjacency, source: int) -> dict[int, float]:
                 dist[v] = nd
                 push(heap, (nd, v))
     return dist
+
+
+#: Slack of the bounded search's pruning test, relative on both sides: it
+#: covers the rounding of ``d(v)``, of ``‖v t‖`` and of the bound itself.
+_PRUNE_SLACK = 1e-9
+
+
+def dijkstra_to_target(
+    nbrs: WeightedAdjacency,
+    source: int,
+    target: int,
+    *,
+    coords: tuple[Sequence[float], Sequence[float]] | None = None,
+    bound: float | None = None,
+) -> float:
+    """``d(source, target)`` of :func:`dijkstra_weighted`, bit for bit,
+    returned when ``target`` is popped (``inf`` when it is never reached).
+
+    The first pop of ``target`` carries its final distance: every later
+    pop is at least as large, and adding a non-negative weight never
+    makes a float smaller.
+
+    With ``bound`` (and ``coords = (xs, ys)``, the node coordinates) the
+    search drops every relaxation of a node ``v`` whose candidate distance
+    ``d`` has ``d + (1 − 1e-9)·‖v t‖ > bound·(1 + 1e-9)``: such a walk
+    cannot reach ``target`` within ``bound``.  When ``bound`` is at least
+    ``d(source, target)``, no node of the minimising path is dropped (its
+    prefix plus the straight line to ``target`` is at most the path's
+    length, up to rounding far inside the slack), so the result is the
+    same bits.  A ``bound`` below ``d(source, target)`` can only make the
+    result ``inf`` or larger than ``bound``; callers check ``d <= bound``
+    and otherwise search again without one.
+    """
+    prune = bound is not None
+    if prune:
+        if coords is None:
+            raise ValueError("a bounded search needs the node coordinates")
+        xs, ys = coords
+        tx, ty = xs[target], ys[target]
+        limit = bound * (1.0 + _PRUNE_SLACK)
+        shrink = 1.0 - _PRUNE_SLACK
+    dist: dict[int, float] = {source: 0.0}
+    settled: set[int] = set()
+    heap: list[tuple[float, int]] = [(0.0, source)]
+    pop, push, get, hypot = heapq.heappop, heapq.heappush, dist.get, math.hypot
+    inf = math.inf
+    while heap:
+        d, u = pop(heap)
+        if u == target:
+            return d
+        if u in settled:
+            continue
+        settled.add(u)
+        for v, w in nbrs[u]:
+            nd = d + w
+            if nd < get(v, inf) and (
+                not prune or nd + shrink * hypot(xs[v] - tx, ys[v] - ty) <= limit
+            ):
+                dist[v] = nd
+                push(heap, (nd, v))
+    return inf
 
 
 def euclidean_shortest_path(

@@ -7,17 +7,18 @@ optimal-distance Dijkstra from scratch for each strategy.
 :class:`QueryEngine` is the query-serving layer on top of the router that
 owns all reusable state:
 
-* **routers** — one memoized :class:`HybridRouter` per mode, each asking
-  the locate memo below for its bay classifications;
-* **locate memo** — §4.3 bay classification per node (a miss asks
-  ``locate_node`` with the bind's :class:`LocateIndex`, whose tables are
-  built at the first miss after a bind; terminals repeat across a
-  workload);
+* **routers** — one memoized :class:`HybridRouter` per mode, each
+  classifying bays (§4.3) through the bind's :class:`LocateIndex`, whose
+  tables are built at the first locate after a bind;
 * **Dijkstra LRU** — per-source optimal-distance maps over the reference
-  UDG, shared across strategies in a competitiveness run.  A miss runs
-  Dijkstra over the UDG's edge weights, computed once per bind at the
-  first :meth:`QueryEngine.distances` call (so :meth:`rebind` does not
-  pay for them).
+  UDG (:meth:`QueryEngine.distances`), shared across strategies in a
+  competitiveness run.
+
+:meth:`QueryEngine.optimal` answers one pair with a search that stops at
+the target, optionally pruned by a known walk's length; it neither reads
+nor fills the LRU.  Both searches run over the UDG's edge weights,
+computed once per bind at the first oracle call (so :meth:`rebind` does
+not pay for them).
 
 The engine keeps no cache of completed routes: ``route_many`` collapses
 duplicate pairs within a batch, and the service worker's payload LRU
@@ -56,7 +57,6 @@ iterating the live counter dicts while ``record()`` may run.
 from __future__ import annotations
 
 import hashlib
-import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from collections.abc import Callable, Sequence
@@ -65,12 +65,18 @@ from typing import Any
 import numpy as np
 
 from ..core.abstraction import Abstraction
-# The oracle's search keeps the module-level name ``dijkstra``: the
+# The pair oracle's search keeps the module-level name ``dijkstra``: the
 # repository benchmark (servebench/spans.py) wraps that name in this
 # namespace to time it.  ``graphs.shortest_paths.dijkstra`` is its reference.
-from ..graphs.shortest_paths import dijkstra_weighted as dijkstra
-from ..graphs.shortest_paths import WeightedAdjacency, euclidean_weights
+from ..graphs.shortest_paths import dijkstra_to_target as dijkstra
+from ..graphs.shortest_paths import (
+    WeightedAdjacency,
+    dijkstra_weighted,
+    euclidean_weights,
+)
 from ..graphs.udg import Adjacency
+# ``locate_node`` is called by this module-level name so that the
+# repository benchmark can time it here too.
 from .bay_routing import BayLocation, LocateIndex, locate_node
 from .router import HybridRouter, RouteOutcome
 
@@ -250,10 +256,10 @@ class QueryEngine:
         self.stats = EngineStats()
 
         self._routers: dict[str, HybridRouter] = {}
-        self._locate_memo: dict[int, BayLocation | None] = {}
         self._locate_index = LocateIndex(abstraction)
         self._dijkstra_lru: "OrderedDict[int, dict[int, float]]" = OrderedDict()
         self._udg_weights: WeightedAdjacency | None = None
+        self._udg_coords: tuple[list[float], list[float]] | None = None
         self._digest = abstraction_digest(abstraction)
 
     # -- telemetry -----------------------------------------------------------
@@ -278,13 +284,12 @@ class QueryEngine:
         """
         old_digest = self._digest
         detail = {
-            "locate": {"survived": 0, "evicted": len(self._locate_memo)},
             "dijkstra": {"survived": 0, "evicted": len(self._dijkstra_lru)},
         }
-        self._locate_memo.clear()
         self._dijkstra_lru.clear()
         self._routers.clear()
         self._udg_weights = None
+        self._udg_coords = None
         self.stats.invalidations += 1
         for cache, row in detail.items():
             self.stats.record_flush(cache, row["survived"], row["evicted"])
@@ -308,14 +313,9 @@ class QueryEngine:
 
     # -- memoized components -------------------------------------------------
     def _locate(self, node: int) -> BayLocation | None:
-        """Memoized §4.3 bay classification (injected into routers)."""
-        if node in self._locate_memo:
-            self._record("locate", True)
-            return self._locate_memo[node]
-        self._record("locate", False)
-        loc = locate_node(self.abstraction, node, index=self._locate_index)
-        self._locate_memo[node] = loc
-        return loc
+        """§4.3 bay classification on the bind's index (injected into
+        routers)."""
+        return locate_node(self.abstraction, node, index=self._locate_index)
 
     def _router(self, mode: str) -> HybridRouter:
         router = self._routers.get(mode)
@@ -375,17 +375,14 @@ class QueryEngine:
         return [outcomes[key] for key in keyed]
 
     def locate(self, node: int) -> BayLocation | None:
-        """§4.3 bay classification of ``node`` (memoized when caching).
+        """§4.3 bay classification of ``node``.
 
-        The service layer's locate queries come through here.  With
-        ``caching=False`` this is a plain :func:`locate_node` call on the
-        bind's :class:`LocateIndex` (which holds no memo) with no telemetry,
-        mirroring the route path's determinism contract.
+        The service layer's locate queries come through here: one
+        :func:`locate_node` call on the bind's :class:`LocateIndex`, with
+        or without caching (a locate costs tens of microseconds, so no
+        memo sits in front of it).
         """
-        node = int(node)
-        if not self.caching:
-            return locate_node(self.abstraction, node, index=self._locate_index)
-        return self._locate(node)
+        return self._locate(int(node))
 
     def route_fn(
         self, mode: str | None = None
@@ -399,6 +396,21 @@ class QueryEngine:
         return fn
 
     # -- optimal-distance oracle ---------------------------------------------
+    def _weights(self) -> WeightedAdjacency:
+        """The reference graph's edge weights, built at the first oracle
+        call of a bind, together with the coordinate lists the bounded
+        search reads."""
+        if self._udg_weights is None:
+            # The LRU's maps hold for these weights only.  Rebind, which
+            # resets the weights, has emptied it already; clearing it here
+            # states the dependency where RPR201 (repro lint --deep) looks.
+            self._dijkstra_lru.clear()
+            points = self.abstraction.points
+            self._udg_weights = euclidean_weights(points, self.udg)
+            pts = np.asarray(points, dtype=float)
+            self._udg_coords = (pts[:, 0].tolist(), pts[:, 1].tolist())
+        return self._udg_weights
+
     def distances(self, source: int) -> dict[int, float]:
         """Optimal-distance map from ``source`` over the reference graph.
 
@@ -414,15 +426,28 @@ class QueryEngine:
             return self._dijkstra_lru[source]
         if self.caching:
             self._record("dijkstra", False)
-        if self._udg_weights is None:
-            self._udg_weights = euclidean_weights(self.abstraction.points, self.udg)
-        dist = dijkstra(self._udg_weights, source)
+        dist = dijkstra_weighted(self._weights(), source)
         if self.caching:
             self._dijkstra_lru[source] = dist
             while len(self._dijkstra_lru) > DIJKSTRA_CACHE_SIZE:
                 self._dijkstra_lru.popitem(last=False)
         return dist
 
-    def optimal(self, s: int, t: int) -> float:
-        """``d(s, t)`` of §1.2 (``inf`` when ``t`` is unreachable)."""
-        return self.distances(s).get(int(t), math.inf)
+    def optimal(self, s: int, t: int, bound: float | None = None) -> float:
+        """``d(s, t)`` of §1.2 (``inf`` when ``t`` is unreachable).
+
+        One search that stops when ``t`` is popped; the same bits as
+        :meth:`distances`' entry for ``t``.  ``bound`` is the length of
+        any known ``s``–``t`` walk (the service passes the delivered
+        route's): the search then skips nodes that cannot lie on a walk
+        within it (:func:`~repro.graphs.shortest_paths.dijkstra_to_target`).
+        A result above ``bound`` means the bound was below ``d(s, t)``, so
+        the search runs again without it.
+        """
+        nbrs = self._weights()
+        s, t = int(s), int(t)
+        if bound is not None:
+            d = dijkstra(nbrs, s, t, coords=self._udg_coords, bound=bound)
+            if d <= bound:
+                return d
+        return dijkstra(nbrs, s, t)

@@ -43,12 +43,7 @@ import numpy as np
 from ..core.abstraction import Abstraction
 from ..geometry.delaunay import delaunay_edges
 from ..geometry.primitives import distance
-from ..geometry.visibility import (
-    FlatRings,
-    SegmentGrid,
-    obstacle_segments,
-    visible_mask,
-)
+from ..geometry.visibility import FlatRings, visible_mask
 
 __all__ = ["WaypointPlanner", "WaypointPath", "Leg"]
 
@@ -119,7 +114,6 @@ class WaypointPlanner:
         self.obstacles = [
             p for p in abstraction.boundary_polygons() if len(p) >= 3
         ]
-        self._grid = SegmentGrid(obstacle_segments(self.obstacles))
         self._rings = FlatRings(self.obstacles)
         self.base_vertices: list[int] = sorted(set(vertices))
         self.bay_groups = bay_groups or {}
@@ -160,16 +154,16 @@ class WaypointPlanner:
 
         Every visibility question the planner asks goes through here: one
         :func:`visible_mask` call against the planner's one
-        :class:`SegmentGrid` and :class:`FlatRings`, with the sight line
-        running from ``u`` to ``v``.  Callers add edges in the order of the
-        returned list, which is the order of ``pairs``.
+        :class:`FlatRings`, with the sight line running from ``u`` to
+        ``v``.  Callers add edges in the order of the returned list, which
+        is the order of ``pairs``.
         """
         if not pairs:
             return []
         arr = np.asarray(pairs, dtype=np.intp)
         vis = visible_mask(
             self.points[arr[:, 0]], self.points[arr[:, 1]], self.obstacles,
-            grid=self._grid, rings=self._rings,
+            rings=self._rings,
         )
         return [(int(u), int(v)) for (u, v), ok in zip(pairs, vis) if ok]
 

@@ -64,9 +64,12 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any
 
+import numpy as np
+
 from ..core.abstraction import Abstraction
 from ..graphs.udg import Adjacency
 from ..routing.engine import QueryEngine
+from ..routing.router import RouteOutcome
 from ..simulation.metrics import MetricsCollector
 from .contracts import locate_payload, outcome_payload
 
@@ -512,13 +515,16 @@ class EngineWorker:
         outcomes = self.engine.route_many(pairs, mode=mode)
         points = self.engine.abstraction.points
         return [
-            outcome_payload(
-                outcome,
-                points,
-                self.engine.optimal(outcome.source, outcome.target),
-            )
+            outcome_payload(outcome, points, self._optimal(outcome, points))
             for outcome in outcomes
         ]
+
+    def _optimal(self, outcome: RouteOutcome, points: np.ndarray) -> float:
+        """``d(s, t)`` for a reply, its search bounded by the delivered
+        route's length when the route reached ``t`` (the same bits as an
+        unbounded search, see :meth:`QueryEngine.optimal`)."""
+        bound = outcome.length(points) if outcome.reached else None
+        return self.engine.optimal(outcome.source, outcome.target, bound=bound)
 
     def _serve_locate(self, nodes: list[int]) -> list[dict[str, Any]]:
         return [locate_payload(node, self.engine.locate(node)) for node in nodes]

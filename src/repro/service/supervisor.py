@@ -97,7 +97,8 @@ class WorkerRuntime:
         return registry
 
     def _warm(self, engine: Any, n: int) -> None:
-        """Prime the engine's locate memo with a spread of nodes.
+        """Locate a spread of nodes, so that the engine's locate index
+        builds its tables before serving.
 
         Pre-serving, single-threaded: the engine's worker task has not
         started, so this direct use is race-free by construction.

@@ -1,8 +1,8 @@
 """Equivalence tests for the accelerated visibility paths.
 
-The bbox prefilter, the precomputed segment stack, and the deferred
-boundary check are performance devices only — these tests pin them to a
-naive reference implementation on random inputs.
+The slab prefilter, the precomputed flat rings, and the deferred boundary
+check are performance devices only — these tests pin them to a naive
+reference implementation on random inputs.
 """
 
 import numpy as np
@@ -16,10 +16,10 @@ from repro.geometry.polygon import (
 )
 from repro.geometry.predicates import segments_properly_intersect
 from repro.geometry.visibility import (
+    FlatRings,
     _strictly_inside,
     is_visible,
     obstacle_bboxes,
-    obstacle_segments,
 )
 
 
@@ -55,22 +55,20 @@ OBSTACLES = [
 class TestAcceleratedEquivalence:
     def test_random_segments_match_naive(self):
         rng = np.random.default_rng(0)
-        segs = obstacle_segments(OBSTACLES)
-        boxes = obstacle_bboxes(OBSTACLES)
+        rings = FlatRings(OBSTACLES, obstacle_bboxes(OBSTACLES))
         for _ in range(300):
             p = tuple(rng.uniform(0, 9, 2))
             q = tuple(rng.uniform(0, 9, 2))
-            fast = is_visible(p, q, OBSTACLES, segments=segs, bboxes=boxes)
+            fast = is_visible(p, q, OBSTACLES, rings=rings)
             slow = naive_is_visible(p, q, OBSTACLES)
             assert fast == slow, f"{p} -> {q}"
 
     def test_vertex_to_vertex_segments(self):
-        segs = obstacle_segments(OBSTACLES)
-        boxes = obstacle_bboxes(OBSTACLES)
+        rings = FlatRings(OBSTACLES, obstacle_bboxes(OBSTACLES))
         corners = [tuple(v) for poly in OBSTACLES for v in poly]
         for i, p in enumerate(corners):
             for q in corners[i + 1 :: 3]:
-                fast = is_visible(p, q, OBSTACLES, segments=segs, bboxes=boxes)
+                fast = is_visible(p, q, OBSTACLES, rings=rings)
                 slow = naive_is_visible(p, q, OBSTACLES)
                 assert fast == slow, f"{p} -> {q}"
 

@@ -8,6 +8,7 @@ import pytest
 from repro.geometry.primitives import distance
 from repro.graphs.shortest_paths import (
     dijkstra,
+    dijkstra_to_target,
     dijkstra_weighted,
     euclidean_weights,
     euclidean_shortest_path,
@@ -166,3 +167,67 @@ class TestWeightedOracle:
         assert set(got) == {0, 1, 2}
         assert got.get(4, math.inf) == math.inf
         assert dijkstra_weighted(nbrs, 4) == {4: 0.0, 3: 0.5}
+
+
+def _xy(pts):
+    return pts[:, 0].tolist(), pts[:, 1].tolist()
+
+
+class TestPairOracle:
+    """``dijkstra_to_target`` ≡ :func:`dijkstra`'s ``dist[t]``, bit for bit,
+    with and without a bound."""
+
+    def _check_all_pairs(self, pts, adj):
+        nbrs = euclidean_weights(pts, adj)
+        xy = _xy(pts)
+        for s in range(len(pts)):
+            want, _ = dijkstra(pts, adj, s)
+            for t in range(len(pts)):
+                d = want.get(t, math.inf)
+                assert dijkstra_to_target(nbrs, s, t).hex() == d.hex()
+                if math.isfinite(d):
+                    got = dijkstra_to_target(nbrs, s, t, coords=xy, bound=d)
+                    assert got.hex() == d.hex()
+
+    def test_random_graph_all_pairs(self, random_graph):
+        self._check_all_pairs(*random_graph)
+
+    def test_coincident_nodes_zero_weight(self):
+        pts = np.array(
+            [[0.0, 0.0], [0.7, 0.1], [0.7, 0.1], [1.3, 0.4], [2.0, 0.2], [2.0, 0.2]]
+        )
+        adj = unit_disk_graph(pts)
+        assert 2 in adj[1] and 5 in adj[4]
+        self._check_all_pairs(pts, adj)
+        nbrs = euclidean_weights(pts, adj)
+        assert dijkstra_to_target(nbrs, 1, 2, coords=_xy(pts), bound=0.0) == 0.0
+
+    def test_unreachable_target(self):
+        pts = np.array([[0.0, 0.0], [0.8, 0.0], [1.6, 0.0], [9.0, 9.0], [9.5, 9.0]])
+        adj = unit_disk_graph(pts)
+        nbrs = euclidean_weights(pts, adj)
+        assert dijkstra_to_target(nbrs, 0, 4) == math.inf
+        assert dijkstra_to_target(nbrs, 0, 4, coords=_xy(pts), bound=100.0) == math.inf
+        self._check_all_pairs(pts, adj)
+
+    def test_bound_below_distance_never_returns_less(self, random_graph):
+        # A bound below d(s, t) prunes the minimising path: the result is
+        # inf or a walk longer than the bound, never a wrong value at or
+        # under it, so a caller that accepts only ``d <= bound`` is exact.
+        pts, adj = random_graph
+        nbrs = euclidean_weights(pts, adj)
+        xy = _xy(pts)
+        for s in range(0, len(pts), 7):
+            want, _ = dijkstra(pts, adj, s)
+            for t, d in want.items():
+                if d == 0.0:
+                    continue
+                for bound in (0.5 * d, d * (1 - 1e-6), d * (1 - 1e-12)):
+                    got = dijkstra_to_target(nbrs, s, t, coords=xy, bound=bound)
+                    assert got > bound
+                    assert got == math.inf or got >= d
+
+    def test_bound_needs_coordinates(self, chain):
+        pts, adj = chain
+        with pytest.raises(ValueError):
+            dijkstra_to_target(euclidean_weights(pts, adj), 0, 5, bound=10.0)

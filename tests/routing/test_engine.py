@@ -98,7 +98,10 @@ class TestCaches:
         s, t = pairs[0]
         dist, _ = dijkstra(graph.points, graph.udg, s)
         assert engine.optimal(s, t) == pytest.approx(dist[t])
-        engine.optimal(s, pairs[1][1])
+        # optimal() runs its own search: the LRU serves distances() only.
+        assert "dijkstra" not in engine.stats.cache
+        engine.distances(s)
+        engine.distances(s)
         assert engine.stats.cache["dijkstra"] == {"hits": 1, "misses": 1}
 
     @pytest.mark.parametrize("caching", [True, False])
@@ -135,9 +138,10 @@ class TestCaches:
         engine.route(s, t)
         engine.route(s, t)
         summary = metrics.cache_summary()
-        # The repeat re-runs the same classifications, all from the memo.
-        assert summary["locate"]["hits"] == summary["locate"]["misses"] > 0
-        assert summary["locate"]["hit_rate"] == pytest.approx(0.5)
+        # The repeat routes on the memoized router.
+        assert summary["router"]["hits"] == summary["router"]["misses"] == 1
+        assert summary["router"]["hit_rate"] == pytest.approx(0.5)
+        assert "locate" not in summary
 
     def test_metrics_merge_folds_cache_stats(self):
         a, b = MetricsCollector(), MetricsCollector()
@@ -167,7 +171,8 @@ class TestCaches:
         assert s["queries"] == 4
         assert s["batch_queries"] == 4
         assert s["invalidations"] == 0
-        assert "locate_hit_rate" in s
+        assert "router_hit_rate" in s
+        assert "locate_hit_rate" not in s
         assert "route_result_hit_rate" not in s
 
 
@@ -269,15 +274,16 @@ class TestScopedInvalidation:
         inner = [h for h in abst.holes if not h.is_outer]
         assert len(inner) >= 2, "needs a multi-hole instance"
         victim = inner[0].boundary[0]
-        assert engine._locate_memo, "warmup must have populated the memo"
+        assert engine._routers, "warmup must have built a router"
+        engine.distances(victim)
 
         new_abst = self._perturbed_rebuild(abst, victim)
         engine.rebind(new_abst)
         flush = engine.stats.last_flush
         assert set(flush) == {"caches"}
         assert all(row["survived"] == 0 for row in flush["caches"].values())
-        assert flush["caches"]["locate"]["evicted"] > 0
-        assert not engine._locate_memo and not engine._routers
+        assert flush["caches"]["dijkstra"]["evicted"] > 0
+        assert not engine._dijkstra_lru and not engine._routers
 
         # Zero route mismatches versus a from-scratch engine.
         cold = QueryEngine(new_abst, "hull", caching=False)
@@ -287,11 +293,9 @@ class TestScopedInvalidation:
     def test_flush_counters_reconcile(self):
         """Every flush evicts exactly the pre-flush entries of each cache."""
         sc, graph, abst, engine, pairs = self._warm_multi_hole()
-        engine.optimal(*pairs[0])
-        pre_sizes = {
-            "locate": len(engine._locate_memo),
-            "dijkstra": len(engine._dijkstra_lru),
-        }
+        engine.distances(pairs[0][0])
+        engine.distances(pairs[1][0])
+        pre_sizes = {"dijkstra": len(engine._dijkstra_lru)}
         victim = [h for h in abst.holes if not h.is_outer][0].boundary[0]
         engine.rebind(self._perturbed_rebuild(abst, victim))
         caches = engine.stats.last_flush["caches"]
@@ -306,7 +310,7 @@ class TestScopedInvalidation:
         new_abst = build_abstraction(build_ldel(pts))
         engine.rebind(new_abst)
         assert engine.stats.invalidations == 1
-        assert not engine._locate_memo
+        assert not engine._routers
         cold = QueryEngine(new_abst, "hull", caching=False)
         rng = np.random.default_rng(12)
         for s, t in sample_pairs(len(pts), 10, rng):
@@ -323,6 +327,7 @@ class TestScopedInvalidation:
         victim = [h for h in abst.holes if not h.is_outer][0].boundary[0]
         abst.graph.points[victim] += 1e-4
         engine.rebind(abst, udg=graph.udg)
+        assert not engine._routers
         cold = HybridRouter(abst, "hull")
         mismatches = sum(
             not _same_outcome(cold.route(s, t), engine.route(s, t))
@@ -330,7 +335,7 @@ class TestScopedInvalidation:
         )
         assert mismatches == 0
         assert engine.stats.invalidations == 1
-        assert engine.stats.last_flush["caches"]["locate"]["evicted"] > 0
+        assert engine.stats.last_flush["caches"]["dijkstra"]["survived"] == 0
 
     def test_invalidate_trace_event_payload(self):
         _, graph, abst = _mk(seed=3, width=14.0, holes=3)
@@ -338,6 +343,7 @@ class TestScopedInvalidation:
         engine = QueryEngine(abst, "hull", udg=graph.udg, trace=trace)
         rng = np.random.default_rng(11)
         engine.route_many(sample_pairs(len(abst.points), 10, rng))
+        engine.distances(0)
         victim = [h for h in abst.holes if not h.is_outer][0].boundary[0]
         pts = abst.points.copy()
         pts[victim] += 1e-3
@@ -417,14 +423,13 @@ class TestEvaluateIntegration:
         )
         assert len(outs) == 6
         assert engine.stats.queries == 6
-        first = dict(engine.stats.cache["locate"])
+        first = dict(engine.stats.cache["router"])
+        assert first == {"hits": 5, "misses": 1}
         # A warm engine can be handed to the next workload.
         outs2, engine2 = run_query_workload(abst, pairs[:6], engine=engine)
         assert engine2 is engine
-        # The repeat workload classifies every node from the memo.
-        row = engine.stats.cache["locate"]
-        assert row["misses"] == first["misses"] > 0
-        assert row["hits"] == 2 * first["hits"] + first["misses"]
+        # The repeat workload routes every pair on the memoized router.
+        assert engine.stats.cache["router"] == {"hits": 11, "misses": 1}
 
 
 class TestStatsConcurrency:
@@ -468,3 +473,106 @@ class TestStatsConcurrency:
             thread.join()
         assert not errors
         assert engine.stats.snapshot()["queries"] == len(qpairs)
+
+
+def _e1_scenario():
+    # The E1 instance (n=449) both servebench workloads serve.
+    return perturbed_grid_scenario(
+        width=12.0, height=12.0, hole_count=2, hole_scale=2.0, seed=1
+    )
+
+
+def _check_pairs(engine, points, udg, part=0, parts=1):
+    """``optimal(s, t, bound=d)`` against the reference Dijkstra, bit for
+    bit, with the tightest valid bound, for the ordered pairs with
+    ``(s + t) % parts == part``."""
+    n = len(points)
+    for s in range(n):
+        want, _ = dijkstra(points, udg, s)
+        for t in range((part - s) % parts, n, parts):
+            d = want.get(t, float("inf"))
+            got = engine.optimal(s, t, bound=d if d < float("inf") else None)
+            assert got.hex() == d.hex(), (s, t)
+
+
+class TestPairOracle:
+    """``optimal`` stops at ``t`` and prunes by a bound; with or without the
+    bound it returns the reference Dijkstra's ``d(s, t)``, bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def e1(self):
+        sc = _e1_scenario()
+        graph = build_ldel(sc.points)
+        return sc, graph, build_abstraction(graph)
+
+    def test_every_pair_on_e1(self, e1):
+        sc, graph, abst = e1
+        engine = QueryEngine(abst, "hull", udg=graph.udg)
+        _check_pairs(engine, graph.points, graph.udg)
+        # Unbounded, every target from a sample of sources.
+        for s in range(0, sc.n, 23):
+            want, _ = dijkstra(graph.points, graph.udg, s)
+            for t in range(sc.n):
+                assert engine.optimal(s, t).hex() == want.get(t, float("inf")).hex()
+
+    def test_delivered_route_bound(self, e1):
+        # The bound the service passes: the length of the route delivered.
+        sc, graph, abst = e1
+        engine = QueryEngine(abst, "hull", udg=graph.udg)
+        rng = np.random.default_rng(17)
+        for s, t in sample_pairs(sc.n, 60, rng):
+            out = engine.route(s, t)
+            want, _ = dijkstra(graph.points, graph.udg, s)
+            d = want.get(int(t), float("inf"))
+            bound = out.length(graph.points) if out.reached else None
+            assert engine.optimal(s, t, bound=bound).hex() == d.hex()
+            assert engine.optimal(s, t).hex() == d.hex()
+
+    def test_every_pair_on_churn_steps(self):
+        # Three movement steps of churn-450's trajectory, each checked on
+        # its own third of the ordered pairs, so every pair is checked once
+        # after a rebind (the weights and coordinates are rebuilt per bind).
+        from repro.analysis import ChurnRebinder
+
+        sc = _e1_scenario()
+        graph = build_ldel(sc.points)
+        engine = QueryEngine(build_abstraction(graph), "hull", udg=graph.udg)
+        engine.optimal(0, 1, bound=100.0)
+        steps = list(ChurnRebinder(sc, seed=29, steps=3).steps())
+        for k, step in enumerate(steps):
+            engine.rebind(step.abstraction, udg=step.udg)
+            _check_pairs(engine, step.abstraction.points, step.udg, k, len(steps))
+
+    def test_bound_below_distance_falls_back(self, e1, monkeypatch):
+        from repro.routing import engine as engine_mod
+
+        _, graph, abst = e1
+        engine = QueryEngine(abst, "hull", udg=graph.udg)
+        calls = []
+        search = engine_mod.dijkstra
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("bound"))
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(engine_mod, "dijkstra", counted)
+        s = 0
+        want, _ = dijkstra(graph.points, graph.udg, s)
+        far = max(want, key=want.get)
+        d = want[far]
+        assert engine.optimal(s, far, bound=d).hex() == d.hex()
+        assert calls == [d]
+        for bound in (0.5 * d, d * (1 - 1e-6), d * (1 - 1e-12), 0.0):
+            calls.clear()
+            assert engine.optimal(s, far, bound=bound).hex() == d.hex()
+            assert calls == [bound, None]
+
+    def test_unreachable_target(self, e1):
+        _, graph, abst = e1
+        # Cut node 7 out of the reference graph.
+        udg = {u: [v for v in nbrs if v != 7] for u, nbrs in graph.udg.items()}
+        udg[7] = []
+        engine = QueryEngine(abst, "hull", udg=udg)
+        assert engine.optimal(0, 7) == float("inf")
+        assert engine.optimal(0, 7, bound=1e6) == float("inf")
+        assert engine.optimal(7, 7, bound=0.0) == 0.0

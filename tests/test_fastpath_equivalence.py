@@ -13,7 +13,6 @@ See ``docs/performance.md`` for the pruning-correctness arguments each fast
 path relies on.
 """
 
-import math
 
 import numpy as np
 import pytest
@@ -28,10 +27,13 @@ from repro.geometry.delaunay import (
     locate_point_reference,
 )
 from repro.geometry import visibility
-from repro.geometry.predicates import segments_intersect_batch
+from repro.geometry.predicates import (
+    segments_intersect_batch,
+    segments_properly_intersect,
+)
 from repro.geometry.visibility import (
     FlatRings,
-    SegmentGrid,
+    _entering_pairs,
     _pairs_inside,
     _piece_inside,
     _runs_inside,
@@ -266,12 +268,12 @@ class TestVisibilityEquivalence:
 
     def test_is_visible_scalar_agreement(self, world):
         obstacles, corners = world
-        grid = SegmentGrid(obstacle_segments(obstacles))
+        rings = FlatRings(obstacles)
         rng = np.random.default_rng(4)
         for _ in range(200):
             p = rng.uniform(0.0, 16.0, 2)
             q = rng.uniform(0.0, 16.0, 2)
-            assert is_visible(p, q, obstacles, grid=grid) == is_visible_reference(
+            assert is_visible(p, q, obstacles, rings=rings) == is_visible_reference(
                 p, q, obstacles
             )
 
@@ -294,129 +296,29 @@ class TestVisibilityEquivalence:
             == visible_mask_reference(pa, qa, obstacles)
         ).all()
 
-    def test_segment_grid_candidates_complete(self, world):
-        # Every segment that properly crosses a sight line must appear in
-        # the grid's candidate set (the completeness half of the pruning
-        # argument; the precision half is the exact predicate re-check).
+    def test_slab_prefilter_complete(self, world):
+        # Every segment that properly crosses a sight line belongs to a ring
+        # whose padded box the slab test says the line enters (the
+        # completeness half of the prefilter; the precision half is the
+        # exact predicate on each ring edge).
         obstacles, _ = world
-        segs = obstacle_segments(obstacles)
-        grid = SegmentGrid(segs)
+        rings = FlatRings(obstacles)
         rng = np.random.default_rng(5)
-        from repro.geometry.predicates import segments_properly_intersect
-
-        for _ in range(120):
-            p = rng.uniform(0.0, 16.0, 2)
-            q = rng.uniform(0.0, 16.0, 2)
-            cand = set(grid.candidates(p, q).tolist())
-            for sid, (ax, ay, bx, by) in enumerate(segs):
-                if segments_properly_intersect(p, q, (ax, ay), (bx, by)):
-                    assert sid in cand
-
-
-# -- the one-lookup grid join -------------------------------------------------
-
-
-def _naive_grid_pairs(grid, pa, qa) -> list[tuple[int, int]]:
-    """The 3×3-neighbourhood join, one sample at a time: segments register
-    in their bounding-box cells, and each sample collects the nine cells
-    around its own.  Samples are the grid's: ``max(1, ceil(len / cell))``
-    of them at ``t = (j + 0.5) / ns``."""
-    inv = 1.0 / grid.cell
-    cells: dict[tuple[int, int], set[int]] = {}
-    for sid, (ax, ay, bx, by) in enumerate(grid.segments.tolist()):
-        for cx in range(math.floor(min(ax, bx) * inv), math.floor(max(ax, bx) * inv) + 1):
-            for cy in range(math.floor(min(ay, by) * inv), math.floor(max(ay, by) * inv) + 1):
-                cells.setdefault((cx, cy), set()).add(sid)
-    pairs = set()
-    for qid, ((px, py), (qx, qy)) in enumerate(zip(pa.tolist(), qa.tolist())):
-        dx, dy = qx - px, qy - py
-        ns = max(1, math.ceil(float(np.hypot(dx, dy)) * inv))
-        for j in range(ns):
-            t = (j + 0.5) / ns
-            cx = math.floor((px + t * dx) * inv)
-            cy = math.floor((py + t * dy) * inv)
-            for ddx in (-1, 0, 1):
-                for ddy in (-1, 0, 1):
-                    pairs.update((qid, sid) for sid in cells.get((cx + ddx, cy + ddy), ()))
-    return sorted(pairs)
-
-
-def _grid_pairs(grid, pa, qa) -> list[tuple[int, int]]:
-    out = []
-    for qid, sid in grid._candidate_pairs(pa, qa):
-        out += zip(qid.tolist(), sid.tolist())
-    return out
-
-
-# Unit cells; segments in the first row and column (cell 0 on both axes)
-# and one far away, so grown buckets reach below and left of the origin.
-_UNIT_SEGMENTS = np.array(
-    [
-        [0.0, 0.0, 0.9, 0.0],
-        [0.0, 0.2, 0.0, 2.5],
-        [0.5, 0.5, 1.0, 1.0],
-        [3.0, 1.0, 3.0, 2.0],
-        [6.5, 6.5, 8.0, 7.25],
-    ]
-)
-
-
-def _cell_border_lines() -> tuple[np.ndarray, np.ndarray]:
-    # Length-4 lines starting half a cell off a border: every sample
-    # (t = (j + 0.5) / 4) lands exactly on an integer coordinate.
-    ys = [-1.0, 0.0, 1.0, 2.0, 3.0]
-    pa = [[-0.5, y] for y in ys] + [[y, -0.5] for y in ys] + [[-0.5, -0.5]]
-    qa = [[3.5, y] for y in ys] + [[y, 3.5] for y in ys] + [[3.5, 3.5]]
-    return np.array(pa), np.array(qa)
-
-
-def _grid_lines() -> tuple[np.ndarray, np.ndarray]:
-    rng = np.random.default_rng(31)
-    pa = rng.uniform(-2.0, 9.0, size=(300, 2))
-    qa = rng.uniform(-2.0, 9.0, size=(300, 2))
-    bpa, bqa = _cell_border_lines()
-    # Zero-length sight lines, on a segment, on a border and off the grid.
-    pts = np.array([[0.5, 0.0], [1.0, 1.0], [0.0, 0.0], [-3.0, -3.0], [20.0, 2.0]])
-    return np.vstack([pa, bpa, pts]), np.vstack([qa, bqa, pts])
-
-
-class TestGridJoinEquivalence:
-    """``SegmentGrid._candidate_pairs`` (one lookup per sample in buckets
-    grown by one ring, run-dropped samples, mark-array dedup) ≡ the naive
-    3×3-neighbourhood join: the same pair set, not just a complete one."""
-
-    @pytest.mark.parametrize("budget", [1, 5, 65536])
-    def test_unit_grid_pairs(self, budget, monkeypatch):
-        monkeypatch.setattr(visibility, "JOIN_BUDGET", budget)
-        grid = SegmentGrid(_UNIT_SEGMENTS, cell=1.0)
-        pa, qa = _grid_lines()
-        assert _grid_pairs(grid, pa, qa) == _naive_grid_pairs(grid, pa, qa)
-        assert (
-            grid.crossing_mask(pa, qa) == segments_intersect_batch(pa, qa, grid.segments)
-        ).all()
-
-    def test_border_samples_pair_with_first_row_and_column(self):
-        grid = SegmentGrid(_UNIT_SEGMENTS, cell=1.0)
-        pa, qa = _cell_border_lines()
-        got = _grid_pairs(grid, pa, qa)
-        assert got == _naive_grid_pairs(grid, pa, qa)
-        assert {sid for _, sid in got} >= {0, 1}
-
-    @pytest.mark.parametrize("budget", [1, 65536])
-    def test_obstacle_battery_pairs(self, budget, monkeypatch):
-        monkeypatch.setattr(visibility, "JOIN_BUDGET", budget)
-        grid = SegmentGrid(obstacle_segments(_obstacle_battery(seed=21, n_obs=12, scale=16.0)))
-        rng = np.random.default_rng(32)
-        pa = rng.uniform(-1.0, 17.0, size=(150, 2))
-        qa = rng.uniform(-1.0, 17.0, size=(150, 2))
-        assert _grid_pairs(grid, pa, qa) == _naive_grid_pairs(grid, pa, qa)
-
-    def test_empty_grid(self):
-        grid = SegmentGrid(np.zeros((0, 4)))
-        pa, qa = _grid_lines()
-        assert _grid_pairs(grid, pa, qa) == []
-        assert not grid.crossing_mask(pa, qa).any()
-        assert len(grid.candidates(pa[0], qa[0])) == 0
+        pa = rng.uniform(0.0, 16.0, size=(120, 2))
+        qa = rng.uniform(0.0, 16.0, size=(120, 2))
+        dx = qa[:, 0] - pa[:, 0]
+        dy = qa[:, 1] - pa[:, 1]
+        entered = set()
+        for line, ring in _entering_pairs(pa, dx, dy, rings, 65536):
+            entered.update(zip(line.tolist(), ring.tolist()))
+        crossings = 0
+        for j, (p, q) in enumerate(zip(pa, qa)):
+            for r, poly in enumerate(obstacles):
+                for a, b in zip(poly, np.roll(poly, -1, axis=0)):
+                    if segments_properly_intersect(p, q, a, b):
+                        crossings += 1
+                        assert (j, r) in entered
+        assert crossings > 0
 
 
 # -- the array interior kernel -------------------------------------------------
@@ -607,7 +509,8 @@ class TestInteriorKernelEquivalence:
 
     def test_short_rings_keep_their_box_index(self, budget):
         # Rings of 0, 1 and 2 vertices between real ones: the walk skips
-        # them, and each real ring keeps its own row of the boxes.
+        # them, the 2-vertex one stays for the crossing half only, and each
+        # kept ring keeps its own row of the boxes.
         obstacles = [
             np.array([[7.0, 7.0], [9.0, 9.0]]),
             _L_SHAPE,
@@ -617,7 +520,8 @@ class TestInteriorKernelEquivalence:
             _ZERO_EDGES - 6.0,
         ]
         rings = FlatRings(obstacles)
-        assert rings.boxes.tolist() == obstacle_bboxes(obstacles)[[1, 3, 5]].tolist()
+        assert rings.boxes.tolist() == obstacle_bboxes(obstacles)[[0, 1, 3, 5]].tolist()
+        assert rings.solid.tolist() == [False, True, True, True]
         pts = np.vstack([_L_SHAPE, _SQUARE + 6.0, _ZERO_EDGES - 6.0, [[8.0, 8.0]]])
         got = _assert_runs_inside(*_all_pairs(pts), obstacles)
         assert got.any()
@@ -672,6 +576,128 @@ class TestInteriorKernelEquivalence:
         for budget in _BUDGETS:
             got = _all_line_ring_pairs(pa, qa, [poly, _SQUARE], budget)
             assert got.tolist() == want
+
+
+# -- the one pass: crossings and interiors ----------------------------------
+
+# Short segments in the first row and column and one far away, as 2-vertex
+# obstacles: they block by crossing only, never by interior.
+_UNIT_SEGMENTS = [
+    np.array(seg, dtype=np.float64).reshape(2, 2)
+    for seg in (
+        [0.0, 0.0, 0.9, 0.0],
+        [0.0, 0.2, 0.0, 2.5],
+        [0.5, 0.5, 1.0, 1.0],
+        [3.0, 1.0, 3.0, 2.0],
+        [6.5, 6.5, 8.0, 7.25],
+    )
+]
+
+
+def _unit_lines() -> tuple[np.ndarray, np.ndarray]:
+    rng = np.random.default_rng(31)
+    pa = rng.uniform(-2.0, 9.0, size=(300, 2))
+    qa = rng.uniform(-2.0, 9.0, size=(300, 2))
+    # Axis-parallel lines through segment ends and along the segments.
+    ys = [-1.0, 0.0, 1.0, 2.0, 3.0]
+    apa = [[-0.5, y] for y in ys] + [[y, -0.5] for y in ys] + [[-0.5, -0.5]]
+    aqa = [[3.5, y] for y in ys] + [[y, 3.5] for y in ys] + [[3.5, 3.5]]
+    # Zero-length sight lines: on a segment, on an end point, off the set.
+    pts = np.array([[0.5, 0.0], [1.0, 1.0], [0.0, 0.0], [-3.0, -3.0], [20.0, 2.0]])
+    return np.vstack([pa, apa, pts]), np.vstack([qa, aqa, pts])
+
+
+def _pad_lines() -> tuple[np.ndarray, np.ndarray]:
+    # Lines that meet the square [0, 4]² only inside the 1e-9 box pad:
+    # parallel to an edge just outside it, and past a corner just outside.
+    off = 5e-10
+    pa = np.array(
+        [[-1.0, 4.0 + off], [4.0 + off, -1.0], [-1.0, -off], [-off, 5.0],
+         [-1.0, 1.0 - off], [3.0, 5.0 + off]]
+    )
+    qa = np.array(
+        [[5.0, 4.0 + off], [4.0 + off, 5.0], [5.0, -off], [-off, -1.0],
+         [1.0 - off, -1.0], [5.0 + off, 3.0]]
+    )
+    return pa, qa
+
+
+def _assert_one_pass(pa, qa, obstacles):
+    rings = FlatRings(obstacles)
+    got = visible_mask(pa, qa, obstacles, rings=rings)
+    want = visible_mask_reference(pa, qa, obstacles)
+    assert got.tolist() == want.tolist()
+    assert is_visible(pa[0], qa[0], obstacles, rings=rings) == bool(want[0])
+    return got
+
+
+class TestOnePassEquivalence:
+    """``visible_mask`` (slab block, crossing and interior tests in one pass
+    over :class:`FlatRings`) ≡ ``visible_mask_reference`` (every obstacle
+    segment, then the scalar walk), line by line, at element budgets of 1,
+    5 and 65,536 (``docs/performance.md``)."""
+
+    @pytest.fixture(params=_BUDGETS)
+    def budget(self, request, monkeypatch):
+        monkeypatch.setattr(visibility, "INTERIOR_BUDGET", request.param)
+        return request.param
+
+    def test_unit_segments(self, budget):
+        pa, qa = _unit_lines()
+        got = _assert_one_pass(pa, qa, _UNIT_SEGMENTS)
+        segs = obstacle_segments(_UNIT_SEGMENTS)
+        assert got.tolist() == (~segments_intersect_batch(pa, qa, segs)).tolist()
+        assert 0 < got.sum() < len(got)
+
+    def test_obstacle_battery(self, budget):
+        got = _assert_one_pass(
+            *_battery_lines(), _obstacle_battery(seed=21, n_obs=12, scale=16.0)
+        )
+        assert 0 < got.sum() < len(got)
+
+    @pytest.mark.parametrize("lines", list(_KERNEL_LINES), ids=list(_KERNEL_LINES))
+    def test_kernel_lines(self, lines, budget):
+        # Lines grazing corners, collinear with edges, with midpoints on
+        # the boundary, near-parallel, across a spike, and p == q.
+        pa, qa = _KERNEL_LINES[lines]()
+        for shift in (0.0, 6.0):
+            _assert_one_pass(pa + shift, qa + shift, list(_KERNEL_POLYS))
+
+    def test_two_vertex_obstacles(self, budget):
+        # 2-vertex obstacles beside, across and inside solid rings: they
+        # block by crossing, and never by interior.
+        obstacles = [
+            _SQUARE,
+            np.array([[1.0, 1.0], [3.0, 3.0]]),
+            _L_SHAPE + 6.0,
+            np.array([[-1.0, 2.0], [5.0, 2.0]]),
+            np.array([[9.0, 6.5], [9.0, 9.5]]),
+        ]
+        pts = np.vstack(obstacles + [np.array([[2.0, 0.5], [-2.0, -2.0], [12.0, 12.0]])])
+        got = _assert_one_pass(*_all_pairs(pts), obstacles)
+        assert 0 < got.sum() < len(got)
+
+    def test_lines_inside_the_box_pad(self, budget):
+        pa, qa = _pad_lines()
+        rings = FlatRings([_SQUARE])
+        dx = qa[:, 0] - pa[:, 0]
+        dy = qa[:, 1] - pa[:, 1]
+        entered = set()
+        for line, _ in _entering_pairs(pa, dx, dy, rings, budget):
+            entered.update(line.tolist())
+        assert entered == set(range(len(pa)))
+        assert _assert_one_pass(pa, qa, [_SQUARE]).all()
+        # The same lines against a 2-vertex obstacle on the square's top
+        # edge, whose box has zero height.
+        _assert_one_pass(pa, qa, [_SQUARE[2:4]])
+
+    def test_no_segments(self):
+        pa, qa = _unit_lines()
+        for obstacles in ([], [np.zeros((0, 2))], [np.array([[1.0, 1.0]])]):
+            rings = FlatRings(obstacles)
+            assert len(rings.counts) == 0
+            assert visible_mask(pa, qa, obstacles, rings=rings).all()
+            assert visible_mask_reference(pa, qa, obstacles).all()
 
 
 # -- faces and holes ----------------------------------------------------------

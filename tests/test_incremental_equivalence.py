@@ -170,10 +170,8 @@ def test_churn_never_serves_stale_routes(events, seed):
         )
         pts = model.apply(event).copy()
 
-        pre_sizes = {
-            "locate": len(engine._locate_memo),
-            "dijkstra": len(engine._dijkstra_lru),
-        }
+        engine.distances(0)
+        pre_sizes = {"dijkstra": len(engine._dijkstra_lru)}
 
         new_abst = build_abstraction(build_ldel(pts))
         engine.rebind(new_abst)

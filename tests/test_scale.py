@@ -165,6 +165,8 @@ class TestScaleSlow:
             _runs_inside,
             _runs_inside_bulk,
             obstacle_bboxes,
+            visible_mask,
+            visible_mask_reference,
         )
         from repro.routing.bay_routing import LocateIndex, locate_node_reference
 
@@ -180,10 +182,15 @@ class TestScaleSlow:
         ii = rng.choice(ends, size=1200)
         jj = rng.choice(corners, size=1200)
         pa, qa = abst.points[ii], abst.points[jj]
-        got = _runs_inside_bulk(pa, qa, FlatRings(obstacles, bboxes))
+        rings = FlatRings(obstacles, bboxes)
+        got = _runs_inside_bulk(pa, qa, rings)
         want = [_runs_inside(p, q, obstacles, bboxes) for p, q in zip(pa, qa)]
         assert got.tolist() == want
         assert got.any()
+        # The whole one pass, crossings included, against the full scan.
+        vis = visible_mask(pa, qa, obstacles, rings=rings)
+        assert vis.tolist() == visible_mask_reference(pa, qa, obstacles).tolist()
+        assert 0 < vis.sum() < len(vis)
         # Terminals: a sample of nodes plus every bay-interior ring node.
         index = LocateIndex(abst)
         bay_nodes = [v for h in abst.holes for bay in h.bays for v in bay.interior]
